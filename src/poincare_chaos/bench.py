@@ -9,12 +9,13 @@ chaos-based indices can be validated against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import Measure1D, ProductMeasure, make_measure
+from .measures import ProductMeasure, make_measure
 
 FLOOD_VARIABLES = ("Q", "Ks", "Zv", "Zm", "Hd", "Cb", "L", "B")
 
@@ -32,6 +33,17 @@ class BenchmarkModel:
         return self.input_measure.dimension
 
 
+def _toy_eval(s: float, centers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.prod(s / (s + (X - centers) ** 2), axis=1)
+
+
+def _toy_grad(s: float, centers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    fx = np.prod(s / (s + (X - centers) ** 2), axis=1)
+    return fx[:, None] * (-2.0 * (X - centers) / (s + (X - centers) ** 2))
+
+
 def toy_model(d: int = 4) -> BenchmarkModel:
     """Product of d bump factors centered at a_k = (-1)^k / (k+1), inputs U(-1,1)^d.
 
@@ -42,22 +54,12 @@ def toy_model(d: int = 4) -> BenchmarkModel:
         raise ValueError("dimension must be >= 1")
     s = d / 4.0
     centers = np.array([(-1.0) ** k / (k + 1.0) for k in range(1, d + 1)])
-
-    def f(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.prod(s / (s + (X - centers) ** 2), axis=1)
-
-    def grad(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        fx = np.prod(s / (s + (X - centers) ** 2), axis=1)
-        return fx[:, None] * (-2.0 * (X - centers) / (s + (X - centers) ** 2))
-
     u = make_measure("uniform", {"a": -1.0, "b": 1.0})
     return BenchmarkModel(
         name=f"toy{d}",
         input_measure=ProductMeasure((u,) * d),
-        eval=f,
-        grad=grad,
+        eval=partial(_toy_eval, s, centers),
+        grad=partial(_toy_grad, s, centers),
         variable_names=tuple(f"x{k}" for k in range(1, d + 1)),
     )
 
@@ -91,6 +93,38 @@ def _flood_overflow(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S, W
 
 
+def _flood_eval(X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    S, _ = _flood_overflow(X)
+    Hd = X[:, 4]
+    with np.errstate(divide="ignore"):
+        penalty = 0.2 + 0.8 * (1.0 - np.exp(-1000.0 / S**4))
+    return np.where(S > 0, 1.0, penalty) + 0.05 * np.maximum(Hd, 8.0)
+
+
+def _flood_grad(X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Q, Ks, Zv, Zm, Hd, Cb, L, B = (X[:, k] for k in range(8))
+    S, W = _flood_overflow(X)
+
+    dS = np.empty_like(X)
+    dz = Zm - Zv
+    dS[:, 0] = 0.6 * W / Q
+    dS[:, 1] = -0.6 * W / Ks
+    dS[:, 2] = 1.0 + 0.6 * W / (2.0 * dz)
+    dS[:, 3] = -0.6 * W / (2.0 * dz)
+    dS[:, 4] = -1.0
+    dS[:, 5] = -1.0
+    dS[:, 6] = 0.6 * W / (2.0 * L)
+    dS[:, 7] = -0.6 * W / B
+
+    with np.errstate(divide="ignore", over="ignore"):
+        dC_dS = np.where(S < 0, -3200.0 * np.exp(-1000.0 / S**4) / S**5, 0.0)
+    out = dC_dS[:, None] * dS
+    out[:, 4] += np.where(Hd >= 8.0, 0.05, 0.0)
+    return out
+
+
 def flood_model() -> BenchmarkModel:
     """Annual dyke maintenance cost with analytic piecewise gradient.
 
@@ -99,43 +133,11 @@ def flood_model() -> BenchmarkModel:
     max(Hd, 8)/20.  At the measure-zero kinks S = 0 and Hd = 8 the
     right-sided derivative is used.
     """
-    measure = flood_inputs()
-
-    def f(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        S, _ = _flood_overflow(X)
-        Hd = X[:, 4]
-        with np.errstate(divide="ignore"):
-            penalty = 0.2 + 0.8 * (1.0 - np.exp(-1000.0 / S**4))
-        return np.where(S > 0, 1.0, penalty) + 0.05 * np.maximum(Hd, 8.0)
-
-    def grad(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Q, Ks, Zv, Zm, Hd, Cb, L, B = (X[:, k] for k in range(8))
-        S, W = _flood_overflow(X)
-
-        dS = np.empty_like(X)
-        dz = Zm - Zv
-        dS[:, 0] = 0.6 * W / Q
-        dS[:, 1] = -0.6 * W / Ks
-        dS[:, 2] = 1.0 + 0.6 * W / (2.0 * dz)
-        dS[:, 3] = -0.6 * W / (2.0 * dz)
-        dS[:, 4] = -1.0
-        dS[:, 5] = -1.0
-        dS[:, 6] = 0.6 * W / (2.0 * L)
-        dS[:, 7] = -0.6 * W / B
-
-        with np.errstate(divide="ignore", over="ignore"):
-            dC_dS = np.where(S < 0, -3200.0 * np.exp(-1000.0 / S**4) / S**5, 0.0)
-        out = dC_dS[:, None] * dS
-        out[:, 4] += np.where(Hd >= 8.0, 0.05, 0.0)
-        return out
-
     return BenchmarkModel(
         name="flood",
-        input_measure=measure,
-        eval=f,
-        grad=grad,
+        input_measure=flood_inputs(),
+        eval=_flood_eval,
+        grad=_flood_grad,
         variable_names=FLOOD_VARIABLES,
     )
 

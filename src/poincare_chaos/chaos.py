@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class TruncationSet:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    def rank(self, alpha: Sequence[int]) -> int:
-        """Number of active variables of a multi-index."""
-        return sum(1 for a in alpha if a > 0)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -38,7 +38,9 @@ Input distributions inside a basis spec use the same keys as
 Every worker task derives its random streams from the root seed through
 ``numpy.random.SeedSequence`` spawning, so a rerun with the same config is
 bit-identical regardless of the worker count (set via the environment
-variable ``POINCARE_CHAOS_WORKERS``).
+variable ``POINCARE_CHAOS_WORKERS``) and of the process start method: pool
+workers receive the task context through their initializer, never through
+inherited module state.
 """
 
 from __future__ import annotations
@@ -132,25 +134,25 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(hi) << 32 | int(lo)
 
 
-def build_weight(measure, setting: str, n_steps: int = 4000):
-    return constant_weight(1.0) if setting == "unweighted" else wlin_compute(measure, n_steps)
-
-
-_BASIS_CACHE: dict[tuple, object] = {}
+def build_weight(measure, setting: str):
+    """The weight of one input for a config or basis-spec weight setting."""
+    if setting in ("constant", "unweighted"):
+        return constant_weight(1.0)
+    if setting == "wlin":
+        return wlin_compute(measure)
+    raise ValueError("weight must be 'constant', 'unweighted' or 'wlin'")
 
 
 def build_chaos_basis(model: BenchmarkModel, weight_setting: str, degree: int,
                       mesh_size: int) -> ChaosBasis:
-    """One univariate eigensolve per distinct (measure, weight) pair; repeated
+    """One univariate eigensolve per distinct input measure; repeated
     components (e.g. i.i.d. inputs) share a single build."""
-    bases = []
-    for m in model.input_measure.components:
-        key = (m.family, m.params, m.a, m.b, weight_setting, degree, mesh_size)
-        if key not in _BASIS_CACHE:
-            w = build_weight(m, weight_setting)
-            _BASIS_CACHE[key] = build_basis(m, w, n_modes=degree, mesh_size=mesh_size)
-        bases.append(_BASIS_CACHE[key])
-    return ChaosBasis(total_degree_set(model.dimension, degree), tuple(bases))
+    components = model.input_measure.components
+    built = {m: build_basis(m, build_weight(m, weight_setting), n_modes=degree,
+                            mesh_size=mesh_size)
+             for m in dict.fromkeys(components)}
+    return ChaosBasis(total_degree_set(model.dimension, degree),
+                      tuple(built[m] for m in components))
 
 
 def _validation_errors(basis: ChaosBasis, coeffs: np.ndarray, X_val, y_val, G_val,
@@ -174,7 +176,8 @@ _FITTERS = {
     FitMethod.COMBINED: fit_combined,
 }
 
-# Module-level context shared with forked workers (set before pool creation).
+# Per-process task context, filled by ``_init_context``: once in the parent
+# for a sequential run, once in each pool worker as its initializer.
 _TASK_CONTEXT: dict = {}
 
 
@@ -280,12 +283,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             tasks.append((ed, rep, seed))
             i += 1
 
-    _init_context(model, basis, config, X_val, y_val, G_val, w_val)
+    context = (model, basis, config, X_val, y_val, G_val, w_val)
     workers = int(os.environ.get("POINCARE_CHAOS_WORKERS", "1"))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_context,
+                                 initargs=context) as pool:
             outcomes = list(pool.map(_run_task, tasks))
     else:
+        _init_context(*context)
         outcomes = [_run_task(t) for t in tasks]
 
     rows: list[tuple] = []
@@ -352,13 +357,8 @@ def export_basis(measure_spec: dict, weight_spec: str, n_modes: int, output_dir,
     measure = make_measure(
         measure_spec["family"], measure_spec["params"], measure_spec.get("truncation"),
     )
-    if weight_spec in ("constant", "unweighted"):
-        weight = constant_weight(1.0)
-    elif weight_spec == "wlin":
-        weight = wlin_compute(measure)
-    else:
-        raise ValueError("weight must be 'constant' or 'wlin'")
-    basis = build_basis(measure, weight, n_modes=n_modes, mesh_size=mesh_size)
+    basis = build_basis(measure, build_weight(measure, weight_spec),
+                        n_modes=n_modes, mesh_size=mesh_size)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "basis.csv"

@@ -3,7 +3,9 @@
 Every measure lives on a finite interval [a, b] (unbounded parents are
 truncated and renormalized through their closed-form CDF), has a density
 that is continuous and positive in the open interval, and exposes vectorized
-``pdf`` / ``cdf`` / ``quantile`` evaluators.
+``pdf`` / ``cdf`` / ``quantile`` evaluators.  A measure is a frozen value of
+its family, parameters and interval; the evaluators dispatch on the family
+to closed-form parent functions, quantiles included.
 
 Parametrization conventions
 ---------------------------
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -49,10 +51,10 @@ def _as_same_kind(x, values: np.ndarray):
 class Measure1D:
     """A continuous probability measure on a finite interval [a, b].
 
-    ``_parent_pdf`` / ``_parent_cdf`` are the un-truncated family functions;
-    the normalization constant ``_mass`` is the parent mass on [a, b].
-    ``_parent_ppf`` may be None, in which case quantiles fall back to
-    bracketed bisection plus Newton polishing.
+    A plain value: the parent (un-truncated) family with its parameters,
+    the interval, and the normalization constant ``_mass``, the parent mass
+    on [a, b].  Measures compare and hash by value and pickle, so equal
+    specifications give interchangeable measures.
     """
 
     a: float
@@ -60,22 +62,20 @@ class Measure1D:
     family: Family
     params: tuple[float, ...]
     mean: float
-    _parent_pdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _parent_cdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _parent_ppf: Callable[[np.ndarray], np.ndarray] | None = field(repr=False)
     _mass: float = field(repr=False)
     _cdf_a: float = field(repr=False)
 
     def pdf(self, x):
         xv = np.asarray(x, dtype=float)
         inside = (xv >= self.a) & (xv <= self.b)
-        out = np.where(inside, self._parent_pdf(np.clip(xv, self.a, self.b)) / self._mass, 0.0)
+        parent = _PARENT[self.family][0](self.params, np.clip(xv, self.a, self.b))
+        out = np.where(inside, parent / self._mass, 0.0)
         return _as_same_kind(x, out)
 
     def cdf(self, x):
         xv = np.asarray(x, dtype=float)
-        raw = (self._parent_cdf(np.clip(xv, self.a, self.b)) - self._cdf_a) / self._mass
-        out = np.clip(raw, 0.0, 1.0)
+        parent = _PARENT[self.family][1](self.params, np.clip(xv, self.a, self.b))
+        out = np.clip((parent - self._cdf_a) / self._mass, 0.0, 1.0)
         return _as_same_kind(x, out)
 
     def quantile(self, u):
@@ -83,12 +83,9 @@ class Measure1D:
         uv = np.asarray(u, dtype=float)
         if np.any((uv < 0.0) | (uv > 1.0)):
             raise ValueError("quantile argument must lie in [0, 1]")
-        if self._parent_ppf is not None:
-            q = self._cdf_a + uv * self._mass
-            x = self._parent_ppf(np.minimum(q, 1.0))
-            x = np.clip(x, self.a, self.b)
-        else:
-            x = _invert_cdf(self.cdf, self.a, self.b, uv)
+        q = self._cdf_a + uv * self._mass
+        x = _PARENT[self.family][2](self.params, np.minimum(q, 1.0))
+        x = np.clip(x, self.a, self.b)
         x = np.where(uv == 0.0, self.a, x)
         x = np.where(uv == 1.0, self.b, x)
         return _as_same_kind(u, x)
@@ -123,36 +120,115 @@ class ProductMeasure:
         return x
 
 
-def _invert_cdf(cdf, a: float, b: float, u: np.ndarray) -> np.ndarray:
-    """Bracketed bisection with Newton polishing, |cdf(x) - u| driven below 1e-12."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty(u.shape)
-    eps = 1e-15 * (b - a)
-    for i, ui in np.ndenumerate(u):
-        lo, hi = a + eps, b - eps
-        if cdf(lo) >= ui:
-            out[i] = a
-            continue
-        if cdf(hi) <= ui:
-            out[i] = b
-            continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if cdf(mid) < ui:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * (b - a):
-                break
-        out[i] = 0.5 * (lo + hi)
-    return out.reshape(np.shape(u))
-
-
 def _get(params: Mapping[str, float], *names: str) -> float:
     for name in names:
         if name in params:
             return float(params[name])
     raise InvalidParams(f"missing parameter {names[0]!r}")
+
+
+# ---------------------------------------------------------------------------
+# Parent (un-truncated) family functions of (params, x)
+# ---------------------------------------------------------------------------
+
+def _uniform_pdf(p, x):
+    return np.where((x >= p[0]) & (x <= p[1]), 1.0 / (p[1] - p[0]), 0.0)
+
+
+def _uniform_cdf(p, x):
+    return np.clip((x - p[0]) / (p[1] - p[0]), 0.0, 1.0)
+
+
+def _uniform_ppf(p, q):
+    return p[0] + q * (p[1] - p[0])
+
+
+def _triangular_pdf(p, x):
+    lo, mode, hi = p
+    width = hi - lo
+    x = np.asarray(x, dtype=float)
+    left = 2.0 * (x - lo) / (width * (mode - lo))
+    right = 2.0 * (hi - x) / (width * (hi - mode))
+    out = np.where(x < mode, left, right)
+    return np.where((x >= lo) & (x <= hi), np.maximum(out, 0.0), 0.0)
+
+
+def _triangular_cdf(p, x):
+    lo, mode, hi = p
+    width = hi - lo
+    x = np.clip(np.asarray(x, dtype=float), lo, hi)
+    left = (x - lo) ** 2 / (width * (mode - lo))
+    right = 1.0 - (hi - x) ** 2 / (width * (hi - mode))
+    return np.where(x < mode, left, right)
+
+
+def _triangular_ppf(p, q):
+    lo, mode, hi = p
+    width = hi - lo
+    q = np.asarray(q, dtype=float)
+    left = lo + np.sqrt(np.maximum(q, 0.0) * width * (mode - lo))
+    right = hi - np.sqrt(np.maximum(1.0 - q, 0.0) * width * (hi - mode))
+    return np.where(q < (mode - lo) / width, left, right)
+
+
+def _gaussian_pdf(p, x):
+    mu, sigma = p
+    return np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def _gaussian_cdf(p, x):
+    mu, sigma = p
+    return ndtr((x - mu) / sigma)
+
+
+def _gaussian_ppf(p, q):
+    mu, sigma = p
+    return mu + sigma * ndtri(np.clip(q, 1e-320, 1.0))
+
+
+def _gumbel_pdf(p, x):
+    eta, beta = p
+    z = (np.asarray(x, dtype=float) - eta) / beta
+    return np.exp(-(z + np.exp(-z))) / beta
+
+
+def _gumbel_cdf(p, x):
+    eta, beta = p
+    z = (np.asarray(x, dtype=float) - eta) / beta
+    return np.exp(-np.exp(-z))
+
+
+def _gumbel_ppf(p, q):
+    eta, beta = p
+    q = np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore"):
+        return eta - beta * np.log(-np.log(q))
+
+
+def _exponential_pdf(p, x):
+    (rate,) = p
+    x = np.asarray(x, dtype=float)
+    return np.where(x >= 0, rate * np.exp(-rate * x), 0.0)
+
+
+def _exponential_cdf(p, x):
+    (rate,) = p
+    x = np.asarray(x, dtype=float)
+    return np.where(x >= 0, -np.expm1(-rate * np.clip(x, 0.0, None)), 0.0)
+
+
+def _exponential_ppf(p, q):
+    return -np.log1p(-np.asarray(q, dtype=float)) / p[0]
+
+
+# (pdf, cdf, ppf) of each parent family
+_PARENT = {
+    Family.UNIFORM: (_uniform_pdf, _uniform_cdf, _uniform_ppf),
+    Family.TRIANGULAR: (_triangular_pdf, _triangular_cdf, _triangular_ppf),
+    Family.TRUNCATED_GAUSSIAN: (_gaussian_pdf, _gaussian_cdf, _gaussian_ppf),
+    Family.TRUNCATED_GUMBEL: (_gumbel_pdf, _gumbel_cdf, _gumbel_ppf),
+    Family.TRUNCATED_EXPONENTIAL: (_exponential_pdf, _exponential_cdf, _exponential_ppf),
+}
 
 
 def make_measure(
@@ -175,49 +251,20 @@ def make_measure(
         Parent mass below 1e-300 on the truncation interval.
     """
     family = Family(family)
+    natural = None
 
     if family is Family.UNIFORM:
         lo, hi = _get(params, "a"), _get(params, "b")
         if not lo < hi:
             raise InvalidParams("uniform needs a < b")
-        width = hi - lo
-        parent_pdf = lambda x: np.where((x >= lo) & (x <= hi), 1.0 / width, 0.0)
-        parent_cdf = lambda x: np.clip((x - lo) / width, 0.0, 1.0)
-        parent_ppf = lambda q: lo + q * width
-        natural = (lo, hi)
-        ptuple = (lo, hi)
-        exact_mean = None
+        natural = ptuple = (lo, hi)
 
     elif family is Family.TRIANGULAR:
         lo, mode, hi = _get(params, "a"), _get(params, "c"), _get(params, "b")
         if not lo < mode < hi:
             raise InvalidParams("triangular needs a < c < b")
-        width = hi - lo
-
-        def parent_pdf(x, lo=lo, mode=mode, hi=hi, width=width):
-            x = np.asarray(x, dtype=float)
-            left = 2.0 * (x - lo) / (width * (mode - lo))
-            right = 2.0 * (hi - x) / (width * (hi - mode))
-            out = np.where(x < mode, left, right)
-            return np.where((x >= lo) & (x <= hi), np.maximum(out, 0.0), 0.0)
-
-        def parent_cdf(x, lo=lo, mode=mode, hi=hi, width=width):
-            x = np.clip(np.asarray(x, dtype=float), lo, hi)
-            left = (x - lo) ** 2 / (width * (mode - lo))
-            right = 1.0 - (hi - x) ** 2 / (width * (hi - mode))
-            return np.where(x < mode, left, right)
-
-        fc = (mode - lo) / width
-
-        def parent_ppf(q, lo=lo, mode=mode, hi=hi, width=width, fc=fc):
-            q = np.asarray(q, dtype=float)
-            left = lo + np.sqrt(np.maximum(q, 0.0) * width * (mode - lo))
-            right = hi - np.sqrt(np.maximum(1.0 - q, 0.0) * width * (hi - mode))
-            return np.where(q < fc, left, right)
-
         natural = (lo, hi)
         ptuple = (lo, mode, hi)
-        exact_mean = None
 
     elif family is Family.TRUNCATED_GAUSSIAN:
         mu = _get(params, "mean", "mu", "loc")
@@ -229,49 +276,20 @@ def make_measure(
             sigma = math.sqrt(_get(params, "var"))
         if sigma <= 0:
             raise InvalidParams("gaussian scale must be positive")
-        parent_pdf = lambda x: np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        parent_cdf = lambda x: ndtr((x - mu) / sigma)
-        parent_ppf = lambda q: mu + sigma * ndtri(np.clip(q, 1e-320, 1.0))
-        natural = None
         ptuple = (mu, sigma)
-        exact_mean = None  # filled below from phi values
 
     elif family is Family.TRUNCATED_GUMBEL:
         eta = _get(params, "loc", "eta")
         beta = _get(params, "scale", "beta")
         if beta <= 0:
             raise InvalidParams("gumbel scale must be positive")
-
-        def parent_pdf(x, eta=eta, beta=beta):
-            z = (np.asarray(x, dtype=float) - eta) / beta
-            return np.exp(-(z + np.exp(-z))) / beta
-
-        def parent_cdf(x, eta=eta, beta=beta):
-            z = (np.asarray(x, dtype=float) - eta) / beta
-            return np.exp(-np.exp(-z))
-
-        def parent_ppf(q, eta=eta, beta=beta):
-            q = np.asarray(q, dtype=float)
-            with np.errstate(divide="ignore"):
-                return eta - beta * np.log(-np.log(q))
-
-        natural = None
         ptuple = (eta, beta)
-        exact_mean = None
 
-    elif family is Family.TRUNCATED_EXPONENTIAL:
+    else:
         rate = _get(params, "rate", "lam")
         if rate <= 0:
             raise InvalidParams("exponential rate must be positive")
-        parent_pdf = lambda x: np.where(np.asarray(x, dtype=float) >= 0, rate * np.exp(-rate * np.asarray(x, dtype=float)), 0.0)
-        parent_cdf = lambda x: np.where(np.asarray(x, dtype=float) >= 0, -np.expm1(-rate * np.clip(np.asarray(x, dtype=float), 0.0, None)), 0.0)
-        parent_ppf = lambda q: -np.log1p(-np.asarray(q, dtype=float)) / rate
-        natural = None
         ptuple = (rate,)
-        exact_mean = None
-
-    else:  # pragma: no cover
-        raise InvalidParams(f"unknown family {family}")
 
     if truncation is None:
         if natural is None:
@@ -288,21 +306,18 @@ def make_measure(
         if family is Family.TRUNCATED_EXPONENTIAL and a < 0:
             a = 0.0
 
-    cdf_a = float(parent_cdf(np.asarray(a)))
-    mass = float(parent_cdf(np.asarray(b))) - cdf_a
+    parent_cdf = _PARENT[family][1]
+    cdf_a = float(parent_cdf(ptuple, np.asarray(a)))
+    mass = float(parent_cdf(ptuple, np.asarray(b))) - cdf_a
     if mass < 1e-300:
         raise ZeroMass(f"parent mass {mass:g} on [{a}, {b}]")
 
-    mean = _truncated_mean(family, ptuple, a, b, mass, cdf_a, parent_pdf)
-
-    return Measure1D(
-        a=a, b=b, family=family, params=ptuple, mean=mean,
-        _parent_pdf=parent_pdf, _parent_cdf=parent_cdf, _parent_ppf=parent_ppf,
-        _mass=mass, _cdf_a=cdf_a,
-    )
+    mean = _truncated_mean(family, ptuple, a, b, mass)
+    return Measure1D(a=a, b=b, family=family, params=ptuple, mean=mean,
+                     _mass=mass, _cdf_a=cdf_a)
 
 
-def _truncated_mean(family, params, a, b, mass, cdf_a, parent_pdf) -> float:
+def _truncated_mean(family, params, a, b, mass) -> float:
     """Closed-form truncated mean where the family allows it, quadrature otherwise."""
     if family is Family.UNIFORM:
         return 0.5 * (a + b)
@@ -317,4 +332,5 @@ def _truncated_mean(family, params, a, b, mass, cdf_a, parent_pdf) -> float:
         (rate,) = params
         num = (a + 1.0 / rate) * math.exp(-rate * a) - (b + 1.0 / rate) * math.exp(-rate * b)
         return num / (math.exp(-rate * a) - math.exp(-rate * b))
-    return adaptive_quad(lambda x: x * parent_pdf(x) / mass, a, b, rel_tol=1e-13)
+    parent_pdf = _PARENT[family][0]
+    return adaptive_quad(lambda x: x * parent_pdf(params, x) / mass, a, b, rel_tol=1e-13)

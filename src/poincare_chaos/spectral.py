@@ -10,11 +10,11 @@ assembled exactly with 8-point Gauss-Legendre per element, then solved as a
 dense generalized symmetric eigenproblem for the smallest modes.  Neumann
 conditions are natural in the weak form, so no boundary rows are touched.
 
-Nodal eigenvectors are upgraded to cubic splines (not-a-knot ends) for
-smooth evaluation; derivatives come from the spline.  Each eigenfunction is
-renormalized so that the *spline* has unit L2(mu) norm under the package
-quadrature rule, and signed so that psi_j(b) > 0 (falling back to
-psi_j'(b) > 0 when the endpoint value vanishes).
+Nodal eigenvectors are upgraded to one cubic spline (not-a-knot ends) with
+one column per mode; derivatives come from its derivative.  Each
+eigenfunction is renormalized so that the *spline* has unit L2(mu) norm
+under the package quadrature rule, and signed so that psi_j(b) > 0 (falling
+back to psi_j'(b) > 0 when the endpoint value vanishes).
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class PoincareBasis1D:
     eigenvalues: np.ndarray          # lambda_0 <= ... <= lambda_K
     mesh: Mesh1D
     existence: ExistenceReport | None
-    _splines: tuple[CubicSpline, ...] = field(repr=False)
-    _dsplines: tuple[CubicSpline, ...] = field(repr=False)
+    _spline: CubicSpline = field(repr=False)    # all modes, one column each
+    _dspline: CubicSpline = field(repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -115,26 +115,22 @@ class PoincareBasis1D:
 
     def eval(self, j: int, x):
         """Value(s) of psi_j at x."""
-        xv = self._check_support(x)
-        out = self._splines[j](xv)
+        out = self._spline(self._check_support(x))[..., j]
         return float(out) if np.isscalar(x) else out
 
     def eval_deriv(self, j: int, x):
         """Value(s) of psi_j' at x."""
-        xv = self._check_support(x)
-        out = self._dsplines[j](xv)
+        out = self._dspline(self._check_support(x))[..., j]
         return float(out) if np.isscalar(x) else out
 
     def eval_all(self, x, n_modes: int | None = None) -> np.ndarray:
         """Table psi_j(x) for j = 0..n_modes, shape (len(x), n_modes+1)."""
-        xv = self._check_support(x)
         jmax = self.n_modes if n_modes is None else n_modes
-        return np.stack([self._splines[j](xv) for j in range(jmax + 1)], axis=-1)
+        return self._spline(self._check_support(x))[..., :jmax + 1]
 
     def eval_deriv_all(self, x, n_modes: int | None = None) -> np.ndarray:
-        xv = self._check_support(x)
         jmax = self.n_modes if n_modes is None else n_modes
-        return np.stack([self._dsplines[j](xv) for j in range(jmax + 1)], axis=-1)
+        return self._dspline(self._check_support(x))[..., :jmax + 1]
 
     def poincare_constant(self) -> float:
         """Sharp constant of the weighted Poincare inequality, 1/lambda_1."""
@@ -214,30 +210,20 @@ def build_basis(
     # interpolant differs from the piecewise-linear one at O(h^2), which is
     # visible at the 1e-6 tolerance.  A symmetric (Loewdin) correction with
     # the quadrature Gram removes that while perturbing each mode minimally.
-    values = vecs.copy()
-    spline_at_q = np.empty((qx.size, n_modes + 1))
-    for j in range(n_modes + 1):
-        spline_at_q[:, j] = CubicSpline(nodes, values[:, j], bc_type="not-a-knot")(qx)
+    spline_at_q = CubicSpline(nodes, vecs, bc_type="not-a-knot")(qx)
     gram = spline_at_q.T @ (spline_at_q * (qw * rho_q)[:, None])
     gw, gv = np.linalg.eigh(gram)
     if np.any(gw <= 0):
         raise NotConverged("spline Gram not positive definite")
-    values = values @ (gv @ np.diag(gw ** -0.5) @ gv.T)
+    values = vecs @ (gv @ np.diag(gw ** -0.5) @ gv.T)
 
-    splines: list[CubicSpline] = []
-    dsplines: list[CubicSpline] = []
-    for j in range(n_modes + 1):
-        v = values[:, j]
-        spl = CubicSpline(nodes, v, bc_type="not-a-knot")
-        if abs(v[-1]) >= 1e-8 * np.max(np.abs(v)):
-            flip = v[-1] < 0
-        else:
-            flip = spl.derivative()(nodes[-1]) < 0
-        if flip:
-            v *= -1.0
-            spl = CubicSpline(nodes, v, bc_type="not-a-knot")
-        splines.append(spl)
-        dsplines.append(spl.derivative())
+    spline = CubicSpline(nodes, values, bc_type="not-a-knot")
+    end = values[-1]
+    decided = np.abs(end) >= 1e-8 * np.max(np.abs(values), axis=0)
+    flip = np.where(decided, end < 0, spline.derivative()(nodes[-1]) < 0)
+    if flip.any():
+        values[:, flip] *= -1.0
+        spline = CubicSpline(nodes, values, bc_type="not-a-knot")
 
     existence = None
     if existence_check:
@@ -255,8 +241,8 @@ def build_basis(
         eigenvalues=eigvals,
         mesh=mesh,
         existence=existence,
-        _splines=tuple(splines),
-        _dsplines=tuple(dsplines),
+        _spline=spline,
+        _dspline=spline.derivative(),
     )
 
 

@@ -1,10 +1,13 @@
 import csv
+import functools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from poincare_chaos import ExperimentConfig, run_experiment
+from poincare_chaos import ExperimentConfig, cli, run_experiment
 from poincare_chaos.cli import CSV_COLUMNS, aggregate_results, export_basis, main
 
 
@@ -90,8 +93,12 @@ def test_report_view(tiny_result):
     assert row["cost_grad_eq_1"] == row["ed_size"]
 
 
-def test_worker_pool_matches_sequential(tiny_result, tmp_path, monkeypatch):
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_worker_pool_matches_sequential(tiny_result, tmp_path, monkeypatch, method):
+    """Pool workers get their context under every process start method."""
     monkeypatch.setenv("POINCARE_CHAOS_WORKERS", "2")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
     cfg = ExperimentConfig(**{**tiny_result.config.__dict__, "output_dir": str(tmp_path)})
     res = run_experiment(cfg)
     assert open(tiny_result.results_csv).read() == open(res.results_csv).read()
@@ -109,6 +116,13 @@ def test_export_basis_files(tmp_path):
     lam = eig["eigenvalues"]
     assert len(lam) == 5
     assert lam[1] == pytest.approx(np.pi**2, rel=1e-3)
+
+
+def test_export_basis_rejects_unknown_weight(tmp_path):
+    with pytest.raises(ValueError, match="weight must be"):
+        export_basis({"family": "uniform", "params": {"a": 0, "b": 1}},
+                     "linear", 4, tmp_path, mesh_size=400)
+    assert not (tmp_path / "basis.csv").exists()
 
 
 def test_cli_main_subcommands(tmp_path):

@@ -1,12 +1,13 @@
-import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincare_chaos import Family, ProductMeasure, make_measure
+from poincare_chaos import ProductMeasure, make_measure, toy_model
 from poincare_chaos._quadrature import adaptive_quad
+from poincare_chaos.cli import build_chaos_basis
 from poincare_chaos.errors import InvalidParams, ZeroMass
 
 TABLE1 = [
@@ -70,12 +71,35 @@ def test_quantile_examples():
     assert e.quantile(0.5) == pytest.approx(closed, abs=1e-12)
 
 
-def test_quantile_bisection_fallback_matches_closed_form():
-    """Measures without a parent inverse invert the CDF numerically."""
-    m = make_measure("triangular", {"a": 49, "c": 50, "b": 51})
-    m_no_ppf = dataclasses.replace(m, _parent_ppf=None)
-    u = np.linspace(0.01, 0.99, 23)
-    assert np.max(np.abs(m_no_ppf.quantile(u) - m.quantile(u))) < 1e-10
+@pytest.mark.parametrize("family,params,trunc", TABLE1)
+def test_equal_specifications_give_equal_measures(family, params, trunc):
+    m1 = make_measure(family, params, trunc)
+    m2 = make_measure(family, params, trunc)
+    assert m1 == m2
+    assert hash(m1) == hash(m2)
+
+
+@pytest.mark.parametrize("family,params,trunc", TABLE1)
+def test_pickle_roundtrip_is_bitwise(family, params, trunc):
+    m = make_measure(family, params, trunc)
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m
+    x = np.linspace(m.a, m.b, 257)
+    u = np.linspace(0.0, 1.0, 257)
+    for name, arg in (("pdf", x), ("cdf", x), ("quantile", u)):
+        assert getattr(copy, name)(arg).tobytes() == getattr(m, name)(arg).tobytes()
+
+
+def test_iid_inputs_share_one_basis():
+    basis = build_chaos_basis(toy_model(4), "unweighted", degree=2, mesh_size=100)
+    assert all(b is basis.bases[0] for b in basis.bases)
+
+
+def test_basis_builds_do_not_share_state_across_calls():
+    first = build_chaos_basis(toy_model(2), "unweighted", degree=2, mesh_size=100)
+    second = build_chaos_basis(toy_model(2), "unweighted", degree=2, mesh_size=100)
+    assert second.bases[0] is not first.bases[0]
+    assert np.array_equal(second.bases[0].eigenvalues, first.bases[0].eigenvalues)
 
 
 def test_sampling_determinism_and_support():
