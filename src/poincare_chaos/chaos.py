@@ -5,6 +5,12 @@ psi_{k, alpha_k}(x_k) over a total-degree set of multi-indices.  The
 ordering of multi-indices is graded lexicographic (total degree first,
 then plain tuple comparison) and is part of the on-disk format for
 coefficient files.
+
+Batched prediction (``predict_many``) holds one (chunk rows x |union|)
+buffer plus small per-sub-block temporaries, however many dimensions there
+are.  Its product order is fixed, and its GEMMs have the shapes of a plain
+chunked evaluation that holds every gathered table at once; that is what
+keeps its outputs bit-identical to such an evaluation.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from .spectral import PoincareBasis1D
 
 _CHUNK = 5000  # row block size for memory-bounded prediction
+_CELLS = 1 << 16  # cells per row sub-block when filling a chunk's buffer
 
 
 @dataclass(frozen=True)
@@ -165,6 +172,25 @@ class ChaosExpansion:
         return grads[:, :, 0]
 
 
+def _fold(tables: list[np.ndarray], alpha: np.ndarray, rows: slice, dims,
+          out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Left fold over ``dims`` (non-empty) of the gathered tables, into ``out``.
+
+    ``tables`` are transposed, (modes, chunk rows), and so is the result,
+    (|union|, sub-block rows): every gather then copies contiguous runs.
+    The fold starts from the first gathered table itself, which gives the
+    bits of a fold started from ones, since 1.0 * g == g exactly.
+    ``mode="clip"`` spares the buffered copy numpy makes for ``out=`` in its
+    default mode; it never clips, because ChaosBasis checks every index
+    against its table.
+    """
+    first, *rest = dims
+    np.take(tables[first][:, rows], alpha[:, first], axis=0, out=out, mode="clip")
+    for k in rest:
+        out *= np.take(tables[k][:, rows], alpha[:, k], axis=0, out=tmp, mode="clip")
+    return out
+
+
 def predict_many(
     basis: ChaosBasis,
     coefficients: np.ndarray,
@@ -177,10 +203,27 @@ def predict_many(
     values of shape (n, n_fits) and, when requested, gradients of shape
     (n, d, n_fits).  Only the union of the active columns is materialized,
     so a batch of sparse fits shares the per-dimension spline tables.
+
+    Memory is one (chunk rows x |union|) buffer plus three sub-block
+    temporaries of about ``_CELLS`` cells each.  Rows go in chunks of
+    ``_CHUNK``; within a chunk the buffer is filled in row sub-blocks, read
+    straight from the per-dimension tables, then multiplied by the
+    coefficients in one GEMM.  The buffer holds the value columns, then each
+    gradient block in turn.  Values are the left fold g_0 * ... * g_{d-1} of
+    the gathered tables and gradient k is
+    (D_k * (g_0 * ... * g_{k-1})) * (g_{d-1} * ... * g_{k+1}), with the
+    alpha_k = 0 columns zeroed.  That product order and the GEMM shapes (full
+    chunks, C-contiguous) are fixed, which keeps the outputs bit-identical
+    whatever the sub-block size.
     """
     C = np.atleast_2d(np.asarray(coefficients, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, d = X.shape
+    d = basis.dimension
+    if C.shape[1] != basis.size:
+        raise ValueError(f"expected {basis.size} coefficients per fit, got {C.shape[1]}")
+    if X.shape[1] != d:
+        raise ValueError(f"expected {d} input columns, got {X.shape[1]}")
+    n = X.shape[0]
     union = np.flatnonzero(np.any(C != 0.0, axis=0))
     values = np.zeros((n, C.shape[0]))
     grads = np.zeros((n, d, C.shape[0])) if with_grad else None
@@ -188,28 +231,39 @@ def predict_many(
         return values, grads
     alpha = basis._alpha[union]
     CU = C[:, union].T  # (|union|, n_fits)
+    zero = [alpha[:, k] == 0 for k in range(d)]
+    step = max(1, min(_CELLS // union.size, _CHUNK, n))  # rows per sub-block
+    buf = np.empty((min(_CHUNK, n), union.size))
+    scratch = np.empty((3, step * union.size))
+
+    def sub_blocks(m: int):
+        """Row slices of a chunk of m rows, each with its three scratch arrays."""
+        for s in range(0, m, step):
+            sb = slice(s, min(s + step, m))
+            shape = (union.size, sb.stop - sb.start)
+            yield sb, [a[: shape[0] * shape[1]].reshape(shape) for a in scratch]
 
     for lo in range(0, n, _CHUNK):
         rows = slice(lo, min(lo + _CHUNK, n))
         Xc = X[rows]
-        tables = basis._value_tables(Xc)
-        gathered = [tables[k][:, alpha[:, k]] for k in range(d)]
-        cols = np.ones((Xc.shape[0], union.size))
-        for k in range(d):
-            cols *= gathered[k]
+        cols = buf[: Xc.shape[0]]
+        tables = [t.T.copy() for t in basis._value_tables(Xc)]
+        for sb, (acc, _, tmp) in sub_blocks(Xc.shape[0]):
+            cols[sb] = _fold(tables, alpha, sb, range(d), acc, tmp).T
         values[rows] = cols @ CU
         if not with_grad:
             continue
-        dtables = basis._deriv_tables(Xc)
-        prefix = [np.ones((Xc.shape[0], union.size))]
-        for k in range(d - 1):
-            prefix.append(prefix[-1] * gathered[k])
-        suffix = np.ones((Xc.shape[0], union.size))
-        for k in range(d - 1, -1, -1):
-            dcols = dtables[k][:, alpha[:, k]] * prefix[k] * suffix
-            dcols[:, alpha[:, k] == 0] = 0.0
-            grads[rows, k, :] = dcols @ CU
-            suffix *= gathered[k]
+        dtables = [t.T.copy() for t in basis._deriv_tables(Xc)]
+        for k in range(d):
+            for sb, (acc, part, tmp) in sub_blocks(Xc.shape[0]):
+                block = np.take(dtables[k][:, sb], alpha[:, k], axis=0, out=acc, mode="clip")
+                if k > 0:
+                    block *= _fold(tables, alpha, sb, range(k), part, tmp)
+                if k < d - 1:
+                    block *= _fold(tables, alpha, sb, range(d - 1, k, -1), part, tmp)
+                block[zero[k]] = 0.0
+                cols[sb] = block.T
+            grads[rows, k, :] = cols @ CU
     return values, grads
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -19,6 +20,7 @@ from poincare_chaos import (
     predict_many,
     total_degree_set,
 )
+from poincare_chaos import chaos
 from poincare_chaos.errors import OutOfSupport
 
 from conftest import cached_basis
@@ -171,6 +173,111 @@ def test_predict_many_matches_single(cos2d):
         ex = ChaosExpansion(cos2d, C[i])
         assert np.allclose(vals[:, i], ex.predict(X), atol=1e-14)
         assert np.allclose(grads[:, :, i], ex.predict_grad(X), atol=1e-14)
+
+
+def _reference_predict_many(basis, coefficients, X, with_grad=False):
+    """The straightforward chunked kernel: every gathered table and every
+    prefix product of a chunk held at once, products started from ones."""
+    C = np.atleast_2d(np.asarray(coefficients, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, d = X.shape
+    union = np.flatnonzero(np.any(C != 0.0, axis=0))
+    values = np.zeros((n, C.shape[0]))
+    grads = np.zeros((n, d, C.shape[0])) if with_grad else None
+    if union.size == 0:
+        return values, grads
+    alpha = basis._alpha[union]
+    CU = C[:, union].T
+
+    for lo in range(0, n, chaos._CHUNK):
+        rows = slice(lo, min(lo + chaos._CHUNK, n))
+        Xc = X[rows]
+        tables = basis._value_tables(Xc)
+        gathered = [tables[k][:, alpha[:, k]] for k in range(d)]
+        cols = np.ones((Xc.shape[0], union.size))
+        for k in range(d):
+            cols *= gathered[k]
+        values[rows] = cols @ CU
+        if not with_grad:
+            continue
+        dtables = basis._deriv_tables(Xc)
+        prefix = [np.ones((Xc.shape[0], union.size))]
+        for k in range(d - 1):
+            prefix.append(prefix[-1] * gathered[k])
+        suffix = np.ones((Xc.shape[0], union.size))
+        for k in range(d - 1, -1, -1):
+            dcols = dtables[k][:, alpha[:, k]] * prefix[k] * suffix
+            dcols[:, alpha[:, k] == 0] = 0.0
+            grads[rows, k, :] = dcols @ CU
+            suffix *= gathered[k]
+    return values, grads
+
+
+@pytest.fixture(scope="module")
+def cos4d(cosine_basis_small):
+    return ChaosBasis(total_degree_set(4, 4), (cosine_basis_small,) * 4)
+
+
+def _coefficient_set(basis, case):
+    rng = np.random.default_rng(21)
+    fits = {"one": 1, "five": 5, "no_x0": 5, "zero": 2}[case]
+    C = np.where(rng.random((fits, basis.size)) < 0.5,
+                 rng.standard_normal((fits, basis.size)), 0.0)
+    if case == "no_x0":
+        C[:, basis._alpha[:, 0] > 0] = 0.0
+    if case == "zero":
+        C[:] = 0.0
+    return C
+
+
+@pytest.mark.parametrize("with_grad", [True, False])
+@pytest.mark.parametrize("case", ["one", "five", "no_x0", "zero"])
+def test_predict_many_bits_match_reference(cos4d, monkeypatch, case, with_grad):
+    """Bitwise equal to the straightforward kernel, over ragged chunks (40 rows
+    in chunks of 7) and ragged row sub-blocks (3 to 6 rows each)."""
+    monkeypatch.setattr(chaos, "_CHUNK", 7)
+    monkeypatch.setattr(chaos, "_CELLS", 3 * cos4d.size)
+    C = _coefficient_set(cos4d, case)
+    X = np.random.default_rng(22).random((40, 4))
+    values, grads = predict_many(cos4d, C, X, with_grad=with_grad)
+    ref_values, ref_grads = _reference_predict_many(cos4d, C, X, with_grad=with_grad)
+    assert values.tobytes() == ref_values.tobytes()
+    if with_grad:
+        assert grads.tobytes() == ref_grads.tobytes()
+    else:
+        assert grads is None and ref_grads is None
+    if case == "no_x0" and with_grad:
+        assert np.all(grads[:, 0, :] == 0.0)
+    if case == "zero":
+        assert not values.any()
+
+
+@pytest.mark.parametrize("n_coeffs,n_inputs", [(1, 0), (-1, 0), (0, 1), (0, -1)],
+                         ids=["wide-coefficients", "narrow-coefficients",
+                              "extra-input-column", "missing-input-column"])
+def test_predict_many_rejects_malformed_input(cos2d, n_coeffs, n_inputs):
+    C = np.ones((2, cos2d.size + n_coeffs))
+    X = np.full((5, cos2d.dimension + n_inputs), 0.5)
+    with pytest.raises(ValueError):
+        predict_many(cos2d, C, X, with_grad=True)
+
+
+def test_predict_many_peak_memory_is_one_chunk_buffer(cosine_basis_small):
+    """The traced peak stays within two (rows x |union|) buffers for d = 4:
+    one buffer, the per-chunk tables and the sub-block temporaries."""
+    basis = ChaosBasis(total_degree_set(4, 8), (cosine_basis_small,) * 4)
+    rng = np.random.default_rng(23)
+    C = np.where(rng.random((3, basis.size)) < 0.5,
+                 rng.standard_normal((3, basis.size)), 0.0)
+    X = rng.random((3000, 4))
+    union = np.count_nonzero(np.any(C != 0.0, axis=0))
+    tracemalloc.start()
+    try:
+        predict_many(basis, C, X, with_grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * X.shape[0] * union * 8
 
 
 def test_h1_column_norms(cos2d):
