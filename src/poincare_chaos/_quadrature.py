@@ -70,13 +70,3 @@ def adaptive_quad(
         prev = cur
     return prev
 
-
-def cumulative_quad(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
-    """Running integral of ``f`` at each partition point (starts at 0)."""
-    edges = np.asarray(edges, dtype=float)
-    x, w = panel_nodes(edges)
-    per_panel = (w * f(x)).reshape(-1, 8).sum(axis=1)
-    out = np.empty(edges.size)
-    out[0] = 0.0
-    np.cumsum(per_panel, out=out[1:])
-    return out

@@ -177,7 +177,8 @@ _FITTERS = {
 }
 
 # Per-process task context, filled by ``_init_context``: once in the parent
-# for a sequential run, once in each pool worker as its initializer.
+# for a sequential run (and cleared when it ends), once in each pool worker
+# as its initializer.
 _TASK_CONTEXT: dict = {}
 
 
@@ -291,7 +292,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             outcomes = list(pool.map(_run_task, tasks))
     else:
         _init_context(*context)
-        outcomes = [_run_task(t) for t in tasks]
+        try:
+            outcomes = [_run_task(t) for t in tasks]
+        finally:
+            _TASK_CONTEXT.clear()
 
     rows: list[tuple] = []
     failures: list[str] = []

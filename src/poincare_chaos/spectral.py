@@ -6,9 +6,11 @@ The basis (psi_j, lambda_j) solves the weak eigenproblem
 
 discretized with P1 finite elements on [a, b]: stiffness S_ij = int w rho
 phi_i' phi_j' and mass M_ij = int rho phi_i phi_j over hat functions, both
-assembled exactly with 8-point Gauss-Legendre per element, then solved as a
-dense generalized symmetric eigenproblem for the smallest modes.  Neumann
-conditions are natural in the weak form, so no boundary rows are touched.
+assembled with 8-point Gauss-Legendre per element into sparse tridiagonal
+matrices.  The smallest modes come from one shift-invert Lanczos solve
+(ARPACK through ``scipy.sparse.linalg.eigsh``) with a fixed start vector,
+so repeated builds are bitwise equal.  Neumann conditions are natural in
+the weak form, so no boundary rows are touched.
 
 Nodal eigenvectors are upgraded to one cubic spline (not-a-knot ends) with
 one column per mode; derivatives come from its derivative.  Each
@@ -24,8 +26,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh
+from scipy.linalg import cholesky_banded
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._quadrature import panel_nodes
 from .errors import ExistenceWarning, MassNotSPD, NotConverged, OutOfSupport
@@ -137,34 +141,9 @@ class PoincareBasis1D:
         return 1.0 / float(self.eigenvalues[1])
 
 
-def build_basis(
-    measure: Measure1D,
-    weight: Weight1D,
-    n_modes: int,
-    mesh_size: int = 2000,
-    existence_check: bool = True,
-) -> PoincareBasis1D:
-    """Assemble and solve the P1 discretization of the weak eigenproblem.
-
-    Returns the K+1 smallest eigenpairs (the trivial constant mode plus
-    ``n_modes`` nontrivial ones).
-
-    Raises
-    ------
-    MassNotSPD
-        The mass matrix fails its Cholesky factorization (mesh too coarse
-        for a near-vanishing density).
-    NotConverged
-        The dense eigensolver fails.
-    """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if mesh_size < max(50, 20 * n_modes):
-        raise ValueError(f"mesh_size must be >= {max(50, 20 * n_modes)} for K={n_modes}")
-
-    mesh = make_mesh(measure, mesh_size, weight)
-    nodes = mesh.nodes
-    n = mesh.n
+def _assemble_pencil(nodes: np.ndarray, measure: Measure1D, weight: Weight1D):
+    """P1 stiffness S and mass M on ``nodes`` as sparse tridiagonal CSC matrices."""
+    n = nodes.size - 1
     h = np.diff(nodes)
 
     qx, qw = panel_nodes(nodes)
@@ -183,35 +162,86 @@ def build_basis(
     m_lr = (qw2 * rho2 * lam_l * lam_r).sum(axis=1)
     m_rr = (qw2 * rho2 * lam_r * lam_r).sum(axis=1)
 
-    N = n + 1
-    S = np.zeros((N, N))
-    M = np.zeros((N, N))
-    idx = np.arange(n)
-    S[idx, idx] += s_elem
-    S[idx + 1, idx + 1] += s_elem
-    S[idx, idx + 1] -= s_elem
-    S[idx + 1, idx] -= s_elem
-    M[idx, idx] += m_ll
-    M[idx + 1, idx + 1] += m_rr
-    M[idx, idx + 1] += m_lr
-    M[idx + 1, idx] += m_lr
+    s_diag = np.zeros(n + 1)
+    s_diag[:-1] += s_elem
+    s_diag[1:] += s_elem
+    m_diag = np.zeros(n + 1)
+    m_diag[:-1] += m_ll
+    m_diag[1:] += m_rr
+    S = sparse.diags([-s_elem, s_diag, -s_elem], [-1, 0, 1], format="csc")
+    M = sparse.diags([m_lr, m_diag, m_lr], [-1, 0, 1], format="csc")
+    return S, M
 
+
+def _smallest_eigenpairs(S, M, k: int, nodes: np.ndarray):
+    """The k smallest eigenpairs of S v = lambda M v, ascending, M-normalized.
+
+    Shift-invert Lanczos about a negative shift (S is singular: constants
+    are its kernel).  The shift is -1e-3 times the Rayleigh quotient of the
+    node coordinate centred under M, an upper bound on lambda_1, so it sits
+    just below the spectrum at the scale of the problem.
+    """
+    banded = np.zeros((2, M.shape[0]))
+    banded[0] = M.diagonal()
+    banded[1, :-1] = M.diagonal(-1)
     try:
-        eigvals, vecs = eigh(S, M, subset_by_index=(0, n_modes))
+        cholesky_banded(banded, lower=True)
     except np.linalg.LinAlgError as exc:
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise MassNotSPD("mass matrix not SPD; refine the mesh") from exc
+        raise MassNotSPD("mass matrix not SPD; refine the mesh") from exc
+
+    ones = np.ones(M.shape[0])
+    x = nodes - (ones @ (M @ nodes)) / (ones @ (M @ ones))
+    sigma = -1e-3 * (x @ (S @ x)) / (x @ (M @ x))
+    try:
+        eigvals, vecs = eigsh(S, k, M, sigma=sigma, which="LM", v0=ones)
+    except ArpackNoConvergence as exc:
         raise NotConverged(str(exc)) from exc
+
+    order = np.argsort(eigvals)
+    eigvals, vecs = eigvals[order], vecs[:, order]
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, M @ vecs))
+    return eigvals, vecs
+
+
+def build_basis(
+    measure: Measure1D,
+    weight: Weight1D,
+    n_modes: int,
+    mesh_size: int = 2000,
+    existence_check: bool = True,
+) -> PoincareBasis1D:
+    """Assemble and solve the P1 discretization of the weak eigenproblem.
+
+    Returns the K+1 smallest eigenpairs (the trivial constant mode plus
+    ``n_modes`` nontrivial ones).
+
+    Raises
+    ------
+    MassNotSPD
+        The mass matrix fails its banded Cholesky factorization (mesh too
+        coarse for a near-vanishing density).
+    NotConverged
+        The shift-invert Lanczos iteration does not converge, or the spline
+        Gram is not positive definite.
+    """
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    if mesh_size < max(50, 20 * n_modes):
+        raise ValueError(f"mesh_size must be >= {max(50, 20 * n_modes)} for K={n_modes}")
+
+    mesh = make_mesh(measure, mesh_size, weight)
+    nodes = mesh.nodes
+    S, M = _assemble_pencil(nodes, measure, weight)
+    eigvals, vecs = _smallest_eigenpairs(S, M, n_modes + 1, nodes)
 
     # Upgrade nodal vectors to splines and restore exact L2(mu) orthonormality
     # of the *spline* set:  the FEM vectors are M-orthonormal, but the cubic
     # interpolant differs from the piecewise-linear one at O(h^2), which is
     # visible at the 1e-6 tolerance.  A symmetric (Loewdin) correction with
     # the quadrature Gram removes that while perturbing each mode minimally.
+    qx, qw = panel_nodes(nodes)
     spline_at_q = CubicSpline(nodes, vecs, bc_type="not-a-knot")(qx)
-    gram = spline_at_q.T @ (spline_at_q * (qw * rho_q)[:, None])
+    gram = spline_at_q.T @ (spline_at_q * (qw * measure.pdf(qx))[:, None])
     gw, gv = np.linalg.eigh(gram)
     if np.any(gw <= 0):
         raise NotConverged("spline Gram not positive definite")

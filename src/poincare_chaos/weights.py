@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._quadrature import fixed_quad, panel_nodes
+from ._quadrature import panel_nodes
 from .errors import DivisionBlowup, NonPositive
 from .measures import Measure1D
 

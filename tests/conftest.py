@@ -1,12 +1,9 @@
-"""Shared fixtures: memoized basis builds (the eigensolve dominates test time),
-plus a terminal hook that prints one line per acceptance criterion."""
+"""Shared fixtures: univariate bases for named configurations, plus a
+terminal hook that prints one line per acceptance criterion."""
 
-import numpy as np
 import pytest
 
 from poincare_chaos import build_basis, constant_weight, make_measure, wlin_compute
-
-_CACHE = {}
 
 CRITERION_LINES: list[str] = []
 
@@ -25,45 +22,36 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def cached_basis(family, params, truncation, weight_setting, n_modes, mesh_size,
-                 existence_check=False):
-    """Build (or reuse) a univariate basis for a named configuration."""
-    key = (family, tuple(sorted(params.items())), truncation, weight_setting,
-           n_modes, mesh_size, existence_check)
-    if key not in _CACHE:
-        measure = make_measure(family, params, truncation)
-        if weight_setting == "constant":
-            weight = constant_weight(1.0)
-        elif weight_setting == "wlin":
-            weight = wlin_compute(measure, 4000)
-        else:
-            raise ValueError(weight_setting)
-        _CACHE[key] = build_basis(measure, weight, n_modes=n_modes,
-                                  mesh_size=mesh_size, existence_check=existence_check)
-    return _CACHE[key]
-
-
-@pytest.fixture(scope="session")
-def basis_factory():
-    return cached_basis
+def make_test_basis(family, params, truncation, weight_setting, n_modes, mesh_size,
+                    existence_check=False):
+    """Build a univariate basis for a named configuration."""
+    measure = make_measure(family, params, truncation)
+    if weight_setting == "constant":
+        weight = constant_weight(1.0)
+    elif weight_setting == "wlin":
+        weight = wlin_compute(measure, 4000)
+    else:
+        raise ValueError(weight_setting)
+    return build_basis(measure, weight, n_modes=n_modes, mesh_size=mesh_size,
+                       existence_check=existence_check)
 
 
 @pytest.fixture(scope="session")
 def cosine_basis():
     """U(0,1) with unit weight at the production mesh: psi_j = +-sqrt2 cos(j pi x)."""
-    return cached_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 10, 2000)
+    return make_test_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 10, 2000)
 
 
 @pytest.fixture(scope="session")
 def cosine_basis_small():
     """Same spectrum on a coarse mesh for cheap structural tests."""
-    return cached_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 8, 400)
+    return make_test_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 8, 400)
 
 
 @pytest.fixture(scope="session")
 def legendre_basis():
     """U(-1,1) with the linear-preserving weight: normalized Legendre polynomials."""
-    return cached_basis("uniform", {"a": -1.0, "b": 1.0}, None, "wlin", 8, 2000)
+    return make_test_basis("uniform", {"a": -1.0, "b": 1.0}, None, "wlin", 8, 2000)
 
 
 # The (measure, weight) test matrix: the five input families used by the

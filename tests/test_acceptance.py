@@ -43,7 +43,7 @@ from poincare_chaos import (
 )
 from poincare_chaos.cli import build_chaos_basis
 
-from conftest import TEST_MATRIX, cached_basis, record_criterion
+from conftest import TEST_MATRIX, make_test_basis, record_criterion
 
 FITTERS = {"standard": fit_standard, "deriv_aggregated": fit_deriv_aggregated,
            "combined": fit_combined}
@@ -147,7 +147,7 @@ def test_criterion_4_orthogonality_suite():
     worst_g, worst_d = 0.0, 0.0
     for family, params, trunc in TEST_MATRIX:
         for wsetting in ("constant", "wlin"):
-            basis = cached_basis(family, params, trunc, wsetting, 8, 2000)
+            basis = make_test_basis(family, params, trunc, wsetting, 8, 2000)
             G = gram_matrix(basis)
             worst_g = max(worst_g, float(np.max(np.abs(G - np.eye(G.shape[0])))))
             Gd = gram_deriv_matrix(basis)
@@ -183,7 +183,7 @@ def test_criterion_5_dgsm_identity(toy_fits):
 
 
 def test_criterion_6_sparse_recovery():
-    b = cached_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 8, 2000)
+    b = make_test_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 8, 2000)
     cb = ChaosBasis(total_degree_set(4, 8), (b,) * 4)
     rng = np.random.default_rng(606)
     support = set(int(i) for i in rng.choice(np.arange(1, cb.size), size=10, replace=False))

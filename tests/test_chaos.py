@@ -23,12 +23,12 @@ from poincare_chaos import (
 from poincare_chaos import chaos
 from poincare_chaos.errors import OutOfSupport
 
-from conftest import cached_basis
+from conftest import make_test_basis
 
 
 @pytest.fixture(scope="module")
 def cos2d():
-    b = cached_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 8, 800)
+    b = make_test_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 8, 800)
     return ChaosBasis(total_degree_set(2, 4), (b, b))
 
 
@@ -301,7 +301,7 @@ def test_out_of_support_propagates(cos2d):
 
 
 def test_mode_budget_validation(cos2d):
-    small = cached_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 2, 400)
+    small = make_test_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 2, 400)
     with pytest.raises(ValueError):
         ChaosBasis(total_degree_set(2, 4), (small, small))
 

@@ -104,6 +104,24 @@ def test_worker_pool_matches_sequential(tiny_result, tmp_path, monkeypatch, meth
     assert open(tiny_result.results_csv).read() == open(res.results_csv).read()
 
 
+def test_sequential_run_clears_task_context(tiny_result, tmp_path, monkeypatch):
+    """A sequential run releases the model, the bases and the validation
+    arrays when it returns, and also when a task raises."""
+    monkeypatch.delenv("POINCARE_CHAOS_WORKERS", raising=False)
+    cfg = ExperimentConfig(**{**tiny_result.config.__dict__, "output_dir": str(tmp_path)})
+    run_experiment(cfg)
+    assert cli._TASK_CONTEXT == {}
+
+    def failing_task(task):
+        assert cli._TASK_CONTEXT
+        raise RuntimeError("task failed")
+
+    monkeypatch.setattr(cli, "_run_task", failing_task)
+    with pytest.raises(RuntimeError, match="task failed"):
+        run_experiment(cfg)
+    assert cli._TASK_CONTEXT == {}
+
+
 def test_export_basis_files(tmp_path):
     csv_path, json_path = export_basis(
         {"family": "uniform", "params": {"a": 0, "b": 1}},

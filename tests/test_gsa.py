@@ -21,12 +21,12 @@ from poincare_chaos import (
 )
 from poincare_chaos.errors import ZeroVariance
 
-from conftest import cached_basis
+from conftest import make_test_basis
 
 
 @pytest.fixture(scope="module")
 def basis2d():
-    b = cached_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 4, 800)
+    b = make_test_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 4, 800)
     return ChaosBasis(total_degree_set(2, 4), (b, b))
 
 
@@ -41,7 +41,7 @@ def _expansion(basis, assignments):
 def fitted_toy2():
     """A gradient-enhanced fit of a 2-d bump model, shared across checks."""
     model = toy_model(2)
-    b = cached_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 6, 1000)
+    b = make_test_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 6, 1000)
     cb = ChaosBasis(total_degree_set(2, 6), (b, b))
     X = model.input_measure.sample(150, 42)
     fit = fit_combined(cb, DesignData(X, model.eval(X), model.grad(X)))
@@ -68,7 +68,7 @@ def test_dgsm_values(basis2d):
     ex = _expansion(basis2d, {(0, 0): 7.0})
     assert np.allclose(dgsm(ex), [0.0, 0.0])
 
-    b1 = cached_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 3, 800)
+    b1 = make_test_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 3, 800)
     one_d = ChaosBasis(total_degree_set(1, 3), (b1,))
     ex = _expansion(one_d, {(1,): 1.0})
     assert dgsm(ex)[0] == pytest.approx(np.pi**2, rel=1e-3)

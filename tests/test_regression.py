@@ -21,20 +21,20 @@ from poincare_chaos import (
 )
 from poincare_chaos.errors import Degenerate, MissingGradients
 
-from conftest import cached_basis
+from conftest import make_test_basis
 
 
 @pytest.fixture(scope="module")
 def toy_basis_small():
     """d = 2 cosine tensor basis on U(-1,1), small enough for exact checks."""
-    b = cached_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 4, 800)
+    b = make_test_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 4, 800)
     return ChaosBasis(total_degree_set(2, 4), (b, b))
 
 
 @pytest.fixture(scope="module")
 def planted_case():
     """10-sparse target in the d=4, p=8 basis with exact values and gradients."""
-    b = cached_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 8, 2000)
+    b = make_test_basis("uniform", {"a": -1.0, "b": 1.0}, None, "constant", 8, 2000)
     cb = ChaosBasis(total_degree_set(4, 8), (b,) * 4)
     rng = np.random.default_rng(202)
     support = rng.choice(np.arange(1, cb.size), size=10, replace=False)

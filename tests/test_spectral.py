@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.polynomial.legendre import Legendre
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from poincare_chaos import (
     build_basis,
@@ -10,11 +12,13 @@ from poincare_chaos import (
     make_measure,
     make_mesh,
     weight_from_grid,
+    wlin_compute,
 )
+from poincare_chaos import spectral
 from poincare_chaos._quadrature import panel_nodes
-from poincare_chaos.errors import ExistenceWarning, OutOfSupport
+from poincare_chaos.errors import ExistenceWarning, MassNotSPD, NotConverged, OutOfSupport
 
-from conftest import all_pairs, cached_basis, pair_ids
+from conftest import all_pairs, make_test_basis, pair_ids
 
 
 def test_cosine_eigenvalues_and_functions(cosine_basis):
@@ -70,7 +74,7 @@ def test_hermite_case():
     """Unit weight is the kernel of the standard normal: lambda_j = j and the
     eigenfunctions match probabilists' Hermite polynomials in the bulk.
     Truncation at +-7 sigma leaves ~3e-12 of parent mass outside."""
-    basis = cached_basis("truncated_gaussian", {"mean": 0.0, "std": 1.0}, (-7.0, 7.0),
+    basis = make_test_basis("truncated_gaussian", {"mean": 0.0, "std": 1.0}, (-7.0, 7.0),
                          "constant", 5, 3000)
     lam = basis.eigenvalues[1:]
     assert np.max(np.abs(lam - np.arange(1, 6)) / np.arange(1, 6)) < 1e-3
@@ -86,7 +90,7 @@ def test_hermite_case():
 
 @pytest.mark.parametrize("family,params,trunc,wsetting", all_pairs(), ids=pair_ids())
 def test_orthonormality_matrix(family, params, trunc, wsetting):
-    basis = cached_basis(family, params, trunc, wsetting, 8, 2000)
+    basis = make_test_basis(family, params, trunc, wsetting, 8, 2000)
     G = gram_matrix(basis)
     assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-6
     Gd = gram_deriv_matrix(basis)
@@ -98,7 +102,7 @@ def test_orthonormality_matrix(family, params, trunc, wsetting):
 
 @pytest.mark.parametrize("family,params,trunc,wsetting", all_pairs(), ids=pair_ids())
 def test_oscillation_counts(family, params, trunc, wsetting):
-    basis = cached_basis(family, params, trunc, wsetting, 8, 2000)
+    basis = make_test_basis(family, params, trunc, wsetting, 8, 2000)
     m = basis.measure
     x = np.linspace(m.a, m.b, 4000)[1:-1]
     for j in range(7):
@@ -125,7 +129,7 @@ def test_derivative_span_captures_smooth_functions():
     cosine basis is the sine system, whose coefficients decay fast only for
     functions compatible with the natural boundary data, so g is drawn with
     g'(0) = g'(1) = 0 (otherwise the 99.9% mark needs thousands of modes)."""
-    basis = cached_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 25, 1000)
+    basis = make_test_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 25, 1000)
     rng = np.random.default_rng(5)
     q3 = np.polynomial.Polynomial(rng.uniform(-1, 1, 4))
     gp = np.polynomial.Polynomial([0, 1]) * np.polynomial.Polynomial([1, -1]) * q3
@@ -140,7 +144,7 @@ def test_derivative_span_captures_smooth_functions():
 
 
 def test_out_of_support():
-    basis = cached_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 8, 400)
+    basis = make_test_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 8, 400)
     with pytest.raises(OutOfSupport):
         basis.eval(1, 1.5)
     with pytest.raises(OutOfSupport):
@@ -180,7 +184,7 @@ def test_mesh_validation_and_refinement():
 
 
 def test_export_files(tmp_path):
-    basis = cached_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 8, 400)
+    basis = make_test_basis("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 8, 400)
     csv_path = tmp_path / "basis.csv"
     from poincare_chaos import export_basis_csv, export_eigenvalues_json
     export_basis_csv(basis, csv_path)
@@ -194,3 +198,64 @@ def test_export_files(tmp_path):
     import json
     data = json.loads(jpath.read_text())
     assert len(data["eigenvalues"]) == 9
+
+
+def _pencil(family, params, trunc, wsetting, mesh_size=2000):
+    m = make_measure(family, params, trunc)
+    weight = constant_weight(1.0) if wsetting == "constant" else wlin_compute(m, 4000)
+    nodes = make_mesh(m, mesh_size, weight).nodes
+    S, M = spectral._assemble_pencil(nodes, m, weight)
+    return S, M, nodes
+
+
+@pytest.mark.parametrize("family,params,trunc,wsetting", all_pairs(), ids=pair_ids())
+def test_sparse_eigenpairs_against_dense(family, params, trunc, wsetting):
+    """Shift-invert Lanczos on the sparse pencil: small residuals, exact
+    M-orthonormality, and the eigenvalues of a dense solve of the same pencil.
+
+    The residual bound sits just above the double-precision floor: the exact
+    eigenvector rounded to double already leaves 4e-11 to 7e-11 at j = 1 on
+    the uniform pairs, the sparse solve leaves at most 2e-10, and dense
+    ``eigh`` 2e-9.  With the constant weight, dense ``eigh`` is itself off by
+    up to 3e-7 on the triangular input, hence the wider eigenvalue bound."""
+    S, M, nodes = _pencil(family, params, trunc, wsetting)
+    assert S.format == "csc" and M.format == "csc"
+    lam, V = spectral._smallest_eigenpairs(S, M, 9, nodes)
+    MV = M @ V
+    resid = np.linalg.norm(S @ V - MV * lam, axis=0) / (lam * np.linalg.norm(MV, axis=0))
+    assert resid[1:].max() <= 5e-10
+    assert np.max(np.abs(V.T @ MV - np.eye(9))) <= 1e-12
+    assert np.all(np.diff(lam) > 0)
+    dense = scipy.linalg.eigh(S.toarray(), M.toarray(), subset_by_index=(0, 8),
+                              eigvals_only=True)
+    rel = np.abs(lam[1:] - dense[1:]) / dense[1:]
+    assert rel.max() <= (1e-8 if wsetting == "wlin" else 1e-6)
+
+
+def test_build_basis_bitwise_repeatable():
+    """The fixed Lanczos start vector makes repeated builds bitwise equal,
+    also with another solve in between."""
+    m = make_measure("truncated_gumbel", {"loc": 1013.0, "scale": 558.0}, (500.0, 3000.0))
+    w = wlin_compute(m, 4000)
+    first = build_basis(m, w, n_modes=8, mesh_size=2000, existence_check=False)
+    make_test_basis("triangular", {"a": 49.0, "c": 50.0, "b": 51.0}, None, "constant", 5, 600)
+    second = build_basis(m, w, n_modes=8, mesh_size=2000, existence_check=False)
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first._spline.c.tobytes() == second._spline.c.tobytes()
+
+
+def test_mass_not_spd_raises():
+    S, M, nodes = _pencil("uniform", {"a": 0.0, "b": 1.0}, None, "constant", 200)
+    M = M.tolil()
+    M[100, 100] = -M[100, 100]
+    with pytest.raises(MassNotSPD):
+        spectral._smallest_eigenpairs(S, M.tocsc(), 4, nodes)
+
+
+def test_arpack_no_convergence_maps_to_not_converged(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+    monkeypatch.setattr(spectral, "eigsh", stalled)
+    m = make_measure("uniform", {"a": 0.0, "b": 1.0})
+    with pytest.raises(NotConverged):
+        build_basis(m, constant_weight(1.0), n_modes=3, mesh_size=200, existence_check=False)
