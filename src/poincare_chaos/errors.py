@@ -41,10 +41,6 @@ class Degenerate(PoincareChaosError):
     """Too few rows for regression (m < 2)."""
 
 
-class RankDeficient(PoincareChaosError):
-    """Restricted least squares is singular."""
-
-
 class ZeroVariance(PoincareChaosError):
     """Sensitivity indices are undefined for an expansion with zero variance."""
 

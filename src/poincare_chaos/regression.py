@@ -9,7 +9,8 @@ restricted ordinary least squares:
   that can see them, constant term recovered from the residual mean.
 * ``fit_combined``      -- function and all derivative rows stacked into one
   system, derivative blocks scaled by sqrt(w_k), columns normalized by their
-  analytic H1 norms and the coefficients rescaled back afterwards.
+  analytic H1 norms and the coefficients rescaled back afterwards.  The
+  stacked system is filled in place, one preallocated array for all blocks.
 
 The engine runs the LARS path to produce a nested sequence of candidate
 active sets, solves restricted OLS for each candidate, scores it with the
@@ -18,6 +19,12 @@ exact leave-one-out error from the hat-matrix identity
     e_loo = (1/m) sum_i ((b_i - bhat_i) / (1 - h_ii))^2,
 
 and returns the candidate with the smallest score (earliest wins ties).
+
+The path is incremental: the correlations are formed once and updated with
+the product that each step length already needs, and the signed active
+columns and the Cholesky factor of their Gram grow in preallocated buffers,
+so no step gathers the active columns again.  Only the entry order leaves
+the path; every path records why it stopped.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtpsv
 
 from .chaos import ChaosBasis, ChaosExpansion, basis_matrix, deriv_matrix, h1_column_norms
 from .errors import Degenerate, MissingGradients
@@ -93,23 +100,53 @@ class FitResult:
 
 
 def _lars_path(A: np.ndarray, b: np.ndarray, cap: int, diagnostics: dict) -> list[int]:
-    """Order in which columns enter the least-angle path.
+    """Order in which columns enter the least-angle path (Efron et al. 2004).
+
+    Incremental form.  The correlations c = A^T (b - mu) are formed once and
+    then updated as c -= gamma * A^T u, reusing the product A^T u that the
+    step length needs; no step is taken once ``cap`` columns are active.
+    The signed active columns are kept as the rows of a preallocated
+    (cap x m) block, so the equiangular direction u and the new row of the
+    Cholesky factor are each one product with a prefix of that block.  The
+    factor of the signed active Gram is kept as R = L^T in packed upper
+    storage, column by column: the first k(k+1)/2 entries are the factor of
+    the first k columns, so every triangular solve reads one buffer in place.
 
     Ties in the entry correlations break toward the lowest column index
     (np.argmax convention).  The path stops at ``cap`` entries, when the
     residual correlation vanishes, or when the active Gram factor becomes
-    numerically singular.
+    numerically singular; the last two record ``diagnostics["stop"]``.
     """
     m, P = A.shape
-    mu = np.zeros(m)
     active: list[int] = []
-    signs: list[float] = []
     in_active = np.zeros(P, dtype=bool)
-    L = np.zeros((cap, cap))  # Cholesky factor of the signed active Gram
+    Xa = np.empty((cap, m))                # row t: sign_t * A[:, active[t]]
+    R = np.empty(cap * (cap + 1) // 2)     # packed upper Cholesky factor R = L^T
+    ones = np.ones(cap)
     scale = np.linalg.norm(b) * max(np.max(np.abs(A)), 1e-300)
+    corr = A.T @ b
 
     while len(active) < cap:
-        corr = A.T @ (b - mu)
+        if active:
+            # Step along the equiangular direction of the active set until an
+            # inactive correlation ties with the active ones.
+            k = len(active)
+            z = dtpsv(k, R, dtpsv(k, R, ones[:k], trans=1))
+            AA = 1.0 / np.sqrt(ones[:k] @ z)
+            w = AA * z
+            u = w @ Xa[:k]
+            a_vec = A.T @ u
+
+            C = float(np.max(np.abs(corr[active])))
+            inactive = ~in_active
+            cj = corr[inactive]
+            aj = a_vec[inactive]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = np.concatenate(((C - cj) / (AA - aj), (C + cj) / (AA + aj)))
+            cand = cand[np.isfinite(cand) & (cand > 1e-15 * max(C / AA, 1e-300))]
+            gamma = min(cand.min(), C / AA) if cand.size else C / AA
+            corr -= gamma * a_vec
+
         masked = np.where(in_active, 0.0, corr)
         j = int(np.argmax(np.abs(masked)))
         if abs(masked[j]) <= _CORR_TOL * max(scale, 1.0):
@@ -118,50 +155,23 @@ def _lars_path(A: np.ndarray, b: np.ndarray, cap: int, diagnostics: dict) -> lis
         s_new = 1.0 if corr[j] >= 0 else -1.0
 
         k = len(active)
-        v = s_new * A[:, j]
+        v = Xa[k]
+        np.multiply(A[:, j], s_new, out=v)
+        vv = v @ v
         if k == 0:
-            d2 = v @ v
-            if d2 <= 0:
-                diagnostics["stop"] = "zero column"
-                break
-            L[0, 0] = np.sqrt(d2)
+            R[0] = np.sqrt(vv)
         else:
-            Xa = A[:, active] * np.asarray(signs)[None, :]
-            lvec = solve_triangular(L[:k, :k], Xa.T @ v, lower=True)
-            d2 = v @ v - lvec @ lvec
-            if d2 <= _DEP_TOL * (v @ v):
+            lvec = dtpsv(k, R, Xa[:k] @ v, trans=1)
+            d2 = vv - lvec @ lvec
+            if d2 <= _DEP_TOL * vv:
                 diagnostics["stop"] = "dependent column"
                 diagnostics.setdefault("skipped_columns", []).append(j)
                 break
-            L[k, :k] = lvec
-            L[k, k] = np.sqrt(d2)
-
+            col = k * (k + 1) // 2           # column k of R starts here
+            R[col:col + k] = lvec
+            R[col + k] = np.sqrt(d2)
         active.append(j)
-        signs.append(s_new)
         in_active[j] = True
-        k = len(active)
-
-        ones = np.ones(k)
-        z = solve_triangular(L[:k, :k], ones, lower=True)
-        z = solve_triangular(L[:k, :k].T, z, lower=False)
-        AA = 1.0 / np.sqrt(ones @ z)
-        w = AA * z
-        Xa = A[:, active] * np.asarray(signs)[None, :]
-        u = Xa @ w
-
-        C = float(np.max(np.abs(corr[active])))
-        if k == cap or in_active.all():
-            gamma = C / AA
-        else:
-            a_vec = A.T @ u
-            inactive = ~in_active
-            cj = corr[inactive]
-            aj = a_vec[inactive]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = np.concatenate(((C - cj) / (AA - aj), (C + cj) / (AA + aj)))
-            cand = cand[np.isfinite(cand) & (cand > 1e-15 * max(C / AA, 1e-300))]
-            gamma = min(cand.min(), C / AA) if cand.size else C / AA
-        mu = mu + gamma * u
 
     return active
 
@@ -218,6 +228,8 @@ def lars_loo(
         raise Degenerate("need at least 2 rows")
     if b.size != m:
         raise ValueError("row mismatch between matrix and targets")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("matrix and targets must be finite")
 
     diagnostics: dict = {}
     norms = np.linalg.norm(A, axis=0)
@@ -230,6 +242,8 @@ def lars_loo(
 
     cap = int(min(m - 1, P, max_terms))
     order = _lars_path(A_path, b, cap, diagnostics)
+    # Every exit before the cap records its own reason.
+    diagnostics.setdefault("stop", "max_terms" if cap == max_terms else "size limit")
     chosen, loo = _loo_over_candidates(A, b, order, diagnostics)
     diagnostics["path_length"] = len(order)
 
@@ -302,6 +316,29 @@ def fit_deriv_aggregated(basis: ChaosBasis, data: DesignData, max_terms: int = 2
     )
 
 
+def _combined_system(basis: ChaosBasis,
+                     data: DesignData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The H1-normalized stacked system of ``fit_combined``, built in place.
+
+    Returns (A, t, norms).  A is filled block by block; each derivative block
+    is scaled by sqrt(w_k) and then every column divided by its norm in
+    place, which are the same products as stacking the scaled blocks and
+    dividing the stack.
+    """
+    n, d = data.n, basis.dimension
+    sqw = _sqrt_weights(basis, data.X)
+    A = np.empty(((d + 1) * n, basis.size))
+    A[:n] = basis_matrix(basis, data.X)
+    for k in range(d):
+        block = A[(k + 1) * n:(k + 2) * n]
+        block[...] = deriv_matrix(basis, data.X, k)
+        block *= sqw[k][:, None]
+    norms = h1_column_norms(basis)
+    A /= norms
+    t = np.concatenate([data.y] + [sqw[k] * data.G[:, k] for k in range(d)])
+    return A, t, norms
+
+
 def fit_combined(basis: ChaosBasis, data: DesignData, max_terms: int = 200) -> FitResult:
     """One stacked regression over function rows and scaled derivative rows.
 
@@ -312,20 +349,8 @@ def fit_combined(basis: ChaosBasis, data: DesignData, max_terms: int = 200) -> F
     """
     if data.G is None:
         raise MissingGradients("fit_combined needs gradient data")
-    d = basis.dimension
-    sqw = _sqrt_weights(basis, data.X)
-
-    blocks = [basis_matrix(basis, data.X)]
-    targets = [data.y]
-    for k in range(d):
-        blocks.append(sqw[k][:, None] * deriv_matrix(basis, data.X, k))
-        targets.append(sqw[k] * data.G[:, k])
-    A = np.vstack(blocks)
-    t = np.concatenate(targets)
-
-    norms = h1_column_norms(basis)
-    res = lars_loo(A / norms[None, :], t, max_terms=max_terms, normalize=False,
-                   method_tag=FitMethod.COMBINED)
+    A, t, norms = _combined_system(basis, data)
+    res = lars_loo(A, t, max_terms=max_terms, normalize=False, method_tag=FitMethod.COMBINED)
     coeffs = res.coefficients / norms
     return FitResult(
         coefficients=coeffs,

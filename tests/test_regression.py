@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from poincare_chaos import (
     ChaosBasis,
@@ -19,7 +22,10 @@ from poincare_chaos import (
     make_measure,
     total_degree_set,
 )
+from poincare_chaos.bench import get_model
+from poincare_chaos.cli import build_chaos_basis
 from poincare_chaos.errors import Degenerate, MissingGradients
+from poincare_chaos.regression import _CORR_TOL, _DEP_TOL, _combined_system, _lars_path
 
 from conftest import make_test_basis
 
@@ -263,3 +269,194 @@ def test_loo_identity_property(m, p, seed):
         brute += (b[i] - A[i, S] @ sol) ** 2
     brute /= m
     assert res.loo_error == pytest.approx(brute, rel=1e-7)
+
+
+def _reference_lars_path(A, b, cap, diagnostics):
+    """The least-angle path recomputed from scratch at every step: A^T (b - mu)
+    and the signed active block gathered anew, Cholesky solves on a dense
+    factor.  The incremental ``_lars_path`` must reproduce its entry order."""
+    m, P = A.shape
+    mu = np.zeros(m)
+    active: list[int] = []
+    signs: list[float] = []
+    in_active = np.zeros(P, dtype=bool)
+    L = np.zeros((cap, cap))
+    scale = np.linalg.norm(b) * max(np.max(np.abs(A)), 1e-300)
+
+    while len(active) < cap:
+        corr = A.T @ (b - mu)
+        masked = np.where(in_active, 0.0, corr)
+        j = int(np.argmax(np.abs(masked)))
+        if abs(masked[j]) <= _CORR_TOL * max(scale, 1.0):
+            diagnostics["stop"] = "correlations vanished"
+            break
+        s_new = 1.0 if corr[j] >= 0 else -1.0
+
+        k = len(active)
+        v = s_new * A[:, j]
+        if k == 0:
+            d2 = v @ v
+            if d2 <= 0:
+                diagnostics["stop"] = "zero column"
+                break
+            L[0, 0] = np.sqrt(d2)
+        else:
+            Xa = A[:, active] * np.asarray(signs)[None, :]
+            lvec = solve_triangular(L[:k, :k], Xa.T @ v, lower=True)
+            d2 = v @ v - lvec @ lvec
+            if d2 <= _DEP_TOL * (v @ v):
+                diagnostics["stop"] = "dependent column"
+                diagnostics.setdefault("skipped_columns", []).append(j)
+                break
+            L[k, :k] = lvec
+            L[k, k] = np.sqrt(d2)
+
+        active.append(j)
+        signs.append(s_new)
+        in_active[j] = True
+        k = len(active)
+
+        ones = np.ones(k)
+        z = solve_triangular(L[:k, :k], ones, lower=True)
+        z = solve_triangular(L[:k, :k].T, z, lower=False)
+        AA = 1.0 / np.sqrt(ones @ z)
+        w = AA * z
+        Xa = A[:, active] * np.asarray(signs)[None, :]
+        u = Xa @ w
+
+        C = float(np.max(np.abs(corr[active])))
+        if k == cap or in_active.all():
+            gamma = C / AA
+        else:
+            a_vec = A.T @ u
+            inactive = ~in_active
+            cj = corr[inactive]
+            aj = a_vec[inactive]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = np.concatenate(((C - cj) / (AA - aj), (C + cj) / (AA + aj)))
+            cand = cand[np.isfinite(cand) & (cand > 1e-15 * max(C / AA, 1e-300))]
+            gamma = min(cand.min(), C / AA) if cand.size else C / AA
+        mu = mu + gamma * u
+
+    return active
+
+
+def _design(model, n, seed):
+    X = model.input_measure.sample(n, seed)
+    return DesignData(X, model.eval(X), model.grad(X))
+
+
+@pytest.fixture(scope="module")
+def toy_combined():
+    """The toy d=4, p=8 combined system under w_lin at n=200: 1000 x 495."""
+    model = get_model("toy", d=4)
+    basis = build_chaos_basis(model, "wlin", 8, 1000)
+    return basis, _design(model, 200, 31)
+
+
+@pytest.fixture(scope="module")
+def flood_combined():
+    """The flood p=5 combined system under w_lin at n=40: 360 x 1287."""
+    model = get_model("flood")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        basis = build_chaos_basis(model, "wlin", 5, 400)
+    return basis, _design(model, 40, 32)
+
+
+def _assert_same_path(A, b, cap):
+    new, ref = {}, {}
+    order = _lars_path(A, b, cap, new)
+    assert order == _reference_lars_path(A, b, cap, ref)
+    assert new == ref
+    return order, new
+
+
+@pytest.mark.parametrize("case", ["toy_combined", "flood_combined"])
+def test_incremental_path_matches_reference_on_combined_stacks(case, request):
+    basis, data = request.getfixturevalue(case)
+    A, t, _ = _combined_system(basis, data)
+    assert A.shape == ((basis.dimension + 1) * data.n, basis.size)
+    cap = min(A.shape[0] - 1, A.shape[1], 200)
+    order, _ = _assert_same_path(A, t, cap)
+    assert len(order) == cap
+
+
+def test_incremental_path_matches_reference_on_exact_ties():
+    """Equal correlations break toward the lowest index in both forms."""
+    A = np.eye(8)[:, :6]
+    b = np.array([3.0, 3.0, -2.0, 2.0, 1.0, 1.0, 0.5, 0.25])
+    order, _ = _assert_same_path(A, b, 6)
+    assert order[:2] == [0, 1] and order[2:4] == [2, 3]
+
+
+# Column 1 duplicates column 0.  Once column 0 is active its copy ties with
+# the active correlation for the rest of the path, so the next entry is an
+# exact tie in exact arithmetic.  Here every number is a small binary
+# fraction, so the tie is decided without rounding: the copy wins by index.
+_DUPLICATED = (np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+               np.array([2.0, 1.0, 0.0, 0.0]))
+
+
+def test_incremental_path_matches_reference_with_duplicated_column():
+    order, diag = _assert_same_path(*_DUPLICATED, 3)
+    assert order == [0]
+    assert diag == {"stop": "dependent column", "skipped_columns": [1]}
+
+
+@pytest.mark.parametrize("max_terms", [5, 0])
+def test_stop_max_terms(max_terms):
+    rng = np.random.default_rng(42)
+    res = lars_loo(rng.standard_normal((40, 30)), rng.standard_normal(40), max_terms=max_terms)
+    assert res.diagnostics["stop"] == "max_terms"
+    assert res.diagnostics["path_length"] == max_terms
+
+
+@pytest.mark.parametrize("shape, length", [((10, 30), 9), ((40, 6), 6)])
+def test_stop_size_limit(shape, length):
+    rng = np.random.default_rng(43)
+    res = lars_loo(rng.standard_normal(shape), rng.standard_normal(shape[0]))
+    assert res.diagnostics["stop"] == "size limit"
+    assert res.diagnostics["path_length"] == length
+
+
+def test_stop_correlations_vanished():
+    rng = np.random.default_rng(44)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 6)))
+    res = lars_loo(Q, Q[:, [1, 3, 4]] @ np.array([2.0, -1.5, 0.7]))
+    assert res.diagnostics["stop"] == "correlations vanished"
+    assert res.diagnostics["path_length"] == 3
+
+
+def test_stop_dependent_column():
+    res = lars_loo(*_DUPLICATED)
+    assert res.diagnostics["stop"] == "dependent column"
+    assert res.diagnostics["skipped_columns"] == [1]
+    assert res.diagnostics["path_length"] == 1
+
+
+@pytest.mark.parametrize("where", ["A", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(where, bad):
+    rng = np.random.default_rng(45)
+    A, b = rng.standard_normal((20, 8)), rng.standard_normal(20)
+    (A if where == "A" else b)[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        lars_loo(A, b)
+
+
+def test_combined_system_matches_stacked_copy(toy_combined):
+    """The in-place stack holds the bytes of stacking the scaled blocks and
+    dividing the stack by the H1 norms."""
+    basis, data = toy_combined
+    sqw = [np.sqrt(basis.bases[k].weight(data.X[:, k])) for k in range(basis.dimension)]
+    blocks = [basis_matrix(basis, data.X)]
+    targets = [data.y]
+    for k in range(basis.dimension):
+        blocks.append(sqw[k][:, None] * deriv_matrix(basis, data.X, k))
+        targets.append(sqw[k] * data.G[:, k])
+    norms = h1_column_norms(basis)
+    A, t, got_norms = _combined_system(basis, data)
+    assert A.tobytes() == (np.vstack(blocks) / norms[None, :]).tobytes()
+    assert t.tobytes() == np.concatenate(targets).tobytes()
+    assert got_norms.tobytes() == norms.tobytes()
