@@ -6,11 +6,14 @@ ordering of multi-indices is graded lexicographic (total degree first,
 then plain tuple comparison) and is part of the on-disk format for
 coefficient files.
 
-Batched prediction (``predict_many``) holds one (chunk rows x |union|)
-buffer plus small per-sub-block temporaries, however many dimensions there
-are.  Its product order is fixed, and its GEMMs have the shapes of a plain
-chunked evaluation that holds every gathered table at once; that is what
-keeps its outputs bit-identical to such an evaluation.
+One kernel, ``_fill``, builds every tensor-product column: the design
+matrices and the chunk buffer of batched prediction alike.  It has one
+product order per column kind, a left fold g_0 * ... * g_{d-1} of the
+gathered univariate values, with the derivative D_k in front and g_k left
+out for d/dx_k, and it works through row sub-blocks with two temporaries.
+The design matrices are therefore bit-identical however the rows are
+blocked, and ``predict_many`` holds one (chunk rows x |union|) buffer
+whatever the dimension.
 """
 
 from __future__ import annotations
@@ -100,23 +103,69 @@ class ChaosBasis:
         table[:, 0] = 0.0
         return table
 
-    def _value_tables(self, X: np.ndarray) -> list[np.ndarray]:
+    def _tables(self, X: np.ndarray, deriv=()) -> tuple[list, dict]:
+        """Univariate tables at the rows of X, each transposed to a contiguous
+        (modes, rows) array: the values of every dimension, and the
+        derivatives of the dimensions in ``deriv``, keyed by dimension."""
         p = self.truncation.degree
-        return [b.eval_all(X[:, k], min(p, b.n_modes)) for k, b in enumerate(self.bases)]
+        tables = [b.eval_all(X[:, k], p).T.copy() for k, b in enumerate(self.bases)]
+        dtables = {k: self.bases[k].eval_deriv_all(X[:, k], p).T.copy() for k in deriv}
+        return tables, dtables
 
-    def _deriv_tables(self, X: np.ndarray) -> list[np.ndarray]:
-        p = self.truncation.degree
-        return [b.eval_deriv_all(X[:, k], min(p, b.n_modes)) for k, b in enumerate(self.bases)]
+
+def _inputs(basis: ChaosBasis, X: np.ndarray, k: int | None = None) -> np.ndarray:
+    """X as a float (n, d) array; ValueError for any other width, or for a
+    derivative direction k outside 0..d-1."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = basis.dimension
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"expected {d} input columns, got an array of shape {X.shape}")
+    if k is not None and not 0 <= k < d:
+        raise ValueError(f"derivative direction {k} is outside 0..{d - 1}")
+    return X
+
+
+def _fill(out: np.ndarray, tables: list[np.ndarray], dtables: dict[int, np.ndarray],
+          alpha: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Fill ``out`` (rows x |alpha|) with tensor-product columns and return it.
+
+    ``tables`` and ``dtables`` come from ``ChaosBasis._tables`` at the rows
+    of ``out``.  Each column is a left fold of gathered table entries: the
+    value g_0 * g_1 * ... * g_{d-1} or, for direction ``k``, the derivative
+    D_k * g_0 * ... * g_{d-1} with g_k left out and the alpha_k = 0 columns
+    set to zero.  The fold runs over row sub-blocks of about ``_CELLS``
+    cells, transposed to (|alpha|, sub-block rows) so that every gather
+    copies contiguous runs; elementwise products do not depend on the
+    blocking, so neither do the bits.  The first factor is the gathered
+    table itself, which has the bits of a fold started from ones.
+    ``mode="clip"`` spares the buffered copy numpy makes for ``out=`` in its
+    default mode; it never clips, because ChaosBasis checks every index
+    against its table.
+    """
+    n, m = out.shape
+    factors = [(tables[l], l) for l in range(alpha.shape[1]) if l != k]
+    if k is not None:
+        factors.insert(0, (dtables[k], k))
+        zero = alpha[:, k] == 0
+    (first, j), *rest = factors
+    step = max(1, min(_CELLS // m, n))
+    scratch = np.empty((2, step * m))
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        acc, tmp = (a[: m * (rows.stop - lo)].reshape(m, -1) for a in scratch)
+        np.take(first[:, rows], alpha[:, j], axis=0, out=acc, mode="clip")
+        for table, l in rest:
+            acc *= np.take(table[:, rows], alpha[:, l], axis=0, out=tmp, mode="clip")
+        if k is not None:
+            acc[zero] = 0.0
+        out[rows] = acc.T
+    return out
 
 
 def basis_matrix(basis: ChaosBasis, X: np.ndarray) -> np.ndarray:
     """Design matrix Psi[i, j] = psi_{alpha_j}(x^(i)), shape (n, P)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    tables = basis._value_tables(X)
-    out = np.ones((X.shape[0], basis.size))
-    for k in range(basis.dimension):
-        out *= tables[k][:, basis._alpha[:, k]]
-    return out
+    X = _inputs(basis, X)
+    return _fill(np.empty((X.shape[0], basis.size)), *basis._tables(X), basis._alpha)
 
 
 def deriv_matrix(basis: ChaosBasis, X: np.ndarray, k: int) -> np.ndarray:
@@ -124,15 +173,8 @@ def deriv_matrix(basis: ChaosBasis, X: np.ndarray, k: int) -> np.ndarray:
 
     Columns whose multi-index has alpha_k = 0 are exactly zero.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    tables = basis._value_tables(X)
-    dtable = basis.bases[k].eval_deriv_all(X[:, k], min(basis.truncation.degree, basis.bases[k].n_modes))
-    out = dtable[:, basis._alpha[:, k]]
-    for l in range(basis.dimension):
-        if l != k:
-            out *= tables[l][:, basis._alpha[:, l]]
-    out[:, basis._alpha[:, k] == 0] = 0.0
-    return out
+    X = _inputs(basis, X, k)
+    return _fill(np.empty((X.shape[0], basis.size)), *basis._tables(X, (k,)), basis._alpha, k)
 
 
 def h1_column_norms(basis: ChaosBasis) -> np.ndarray:
@@ -172,25 +214,6 @@ class ChaosExpansion:
         return grads[:, :, 0]
 
 
-def _fold(tables: list[np.ndarray], alpha: np.ndarray, rows: slice, dims,
-          out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Left fold over ``dims`` (non-empty) of the gathered tables, into ``out``.
-
-    ``tables`` are transposed, (modes, chunk rows), and so is the result,
-    (|union|, sub-block rows): every gather then copies contiguous runs.
-    The fold starts from the first gathered table itself, which gives the
-    bits of a fold started from ones, since 1.0 * g == g exactly.
-    ``mode="clip"`` spares the buffered copy numpy makes for ``out=`` in its
-    default mode; it never clips, because ChaosBasis checks every index
-    against its table.
-    """
-    first, *rest = dims
-    np.take(tables[first][:, rows], alpha[:, first], axis=0, out=out, mode="clip")
-    for k in rest:
-        out *= np.take(tables[k][:, rows], alpha[:, k], axis=0, out=tmp, mode="clip")
-    return out
-
-
 def predict_many(
     basis: ChaosBasis,
     coefficients: np.ndarray,
@@ -204,26 +227,19 @@ def predict_many(
     (n, d, n_fits).  Only the union of the active columns is materialized,
     so a batch of sparse fits shares the per-dimension spline tables.
 
-    Memory is one (chunk rows x |union|) buffer plus three sub-block
-    temporaries of about ``_CELLS`` cells each.  Rows go in chunks of
-    ``_CHUNK``; within a chunk the buffer is filled in row sub-blocks, read
-    straight from the per-dimension tables, then multiplied by the
-    coefficients in one GEMM.  The buffer holds the value columns, then each
-    gradient block in turn.  Values are the left fold g_0 * ... * g_{d-1} of
-    the gathered tables and gradient k is
-    (D_k * (g_0 * ... * g_{k-1})) * (g_{d-1} * ... * g_{k+1}), with the
-    alpha_k = 0 columns zeroed.  That product order and the GEMM shapes (full
-    chunks, C-contiguous) are fixed, which keeps the outputs bit-identical
-    whatever the sub-block size.
+    Memory is one (chunk rows x |union|) buffer plus the two sub-block
+    temporaries of ``_fill``.  Rows go in chunks of ``_CHUNK``; ``_fill``
+    writes the value columns of a chunk into the buffer, one GEMM with the
+    coefficients follows, and then the same again for each gradient block.
+    The columns have the product order of ``basis_matrix`` and
+    ``deriv_matrix``, and every GEMM has a full chunk, C-contiguous, so the
+    outputs keep their bits whatever the sub-block size.
     """
     C = np.atleast_2d(np.asarray(coefficients, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = basis.dimension
+    X = _inputs(basis, X)
     if C.shape[1] != basis.size:
         raise ValueError(f"expected {basis.size} coefficients per fit, got {C.shape[1]}")
-    if X.shape[1] != d:
-        raise ValueError(f"expected {d} input columns, got {X.shape[1]}")
-    n = X.shape[0]
+    n, d = X.shape
     union = np.flatnonzero(np.any(C != 0.0, axis=0))
     values = np.zeros((n, C.shape[0]))
     grads = np.zeros((n, d, C.shape[0])) if with_grad else None
@@ -231,39 +247,14 @@ def predict_many(
         return values, grads
     alpha = basis._alpha[union]
     CU = C[:, union].T  # (|union|, n_fits)
-    zero = [alpha[:, k] == 0 for k in range(d)]
-    step = max(1, min(_CELLS // union.size, _CHUNK, n))  # rows per sub-block
     buf = np.empty((min(_CHUNK, n), union.size))
-    scratch = np.empty((3, step * union.size))
-
-    def sub_blocks(m: int):
-        """Row slices of a chunk of m rows, each with its three scratch arrays."""
-        for s in range(0, m, step):
-            sb = slice(s, min(s + step, m))
-            shape = (union.size, sb.stop - sb.start)
-            yield sb, [a[: shape[0] * shape[1]].reshape(shape) for a in scratch]
-
     for lo in range(0, n, _CHUNK):
         rows = slice(lo, min(lo + _CHUNK, n))
-        Xc = X[rows]
-        cols = buf[: Xc.shape[0]]
-        tables = [t.T.copy() for t in basis._value_tables(Xc)]
-        for sb, (acc, _, tmp) in sub_blocks(Xc.shape[0]):
-            cols[sb] = _fold(tables, alpha, sb, range(d), acc, tmp).T
-        values[rows] = cols @ CU
-        if not with_grad:
-            continue
-        dtables = [t.T.copy() for t in basis._deriv_tables(Xc)]
-        for k in range(d):
-            for sb, (acc, part, tmp) in sub_blocks(Xc.shape[0]):
-                block = np.take(dtables[k][:, sb], alpha[:, k], axis=0, out=acc, mode="clip")
-                if k > 0:
-                    block *= _fold(tables, alpha, sb, range(k), part, tmp)
-                if k < d - 1:
-                    block *= _fold(tables, alpha, sb, range(d - 1, k, -1), part, tmp)
-                block[zero[k]] = 0.0
-                cols[sb] = block.T
-            grads[rows, k, :] = cols @ CU
+        cols = buf[: rows.stop - lo]
+        tables, dtables = basis._tables(X[rows], range(d) if with_grad else ())
+        values[rows] = _fill(cols, tables, dtables, alpha) @ CU
+        for k in dtables:
+            grads[rows, k, :] = _fill(cols, tables, dtables, alpha, k) @ CU
     return values, grads
 
 

@@ -175,9 +175,38 @@ def test_predict_many_matches_single(cos2d):
         assert np.allclose(grads[:, :, i], ex.predict_grad(X), atol=1e-14)
 
 
+def _reference_tables(basis, X, deriv=False):
+    p = basis.truncation.degree
+    return [(b.eval_deriv_all if deriv else b.eval_all)(X[:, k], min(p, b.n_modes))
+            for k, b in enumerate(basis.bases)]
+
+
+def _reference_basis_matrix(basis, X):
+    """The whole-matrix product loop: ones times each gathered table in turn."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    tables = _reference_tables(basis, X)
+    out = np.ones((X.shape[0], basis.size))
+    for k in range(basis.dimension):
+        out *= tables[k][:, basis._alpha[:, k]]
+    return out
+
+
+def _reference_deriv_matrix(basis, X, k):
+    """The whole-matrix product loop: D_k, then every other g_l in increasing l."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    tables = _reference_tables(basis, X)
+    dtable = _reference_tables(basis, X, deriv=True)[k]
+    out = dtable[:, basis._alpha[:, k]]
+    for l in range(basis.dimension):
+        if l != k:
+            out *= tables[l][:, basis._alpha[:, l]]
+    out[:, basis._alpha[:, k] == 0] = 0.0
+    return out
+
+
 def _reference_predict_many(basis, coefficients, X, with_grad=False):
-    """The straightforward chunked kernel: every gathered table and every
-    prefix product of a chunk held at once, products started from ones."""
+    """The straightforward chunked kernel: every gathered table of a chunk held
+    at once, products started from ones (values) or from D_k (gradients)."""
     C = np.atleast_2d(np.asarray(coefficients, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -192,7 +221,7 @@ def _reference_predict_many(basis, coefficients, X, with_grad=False):
     for lo in range(0, n, chaos._CHUNK):
         rows = slice(lo, min(lo + chaos._CHUNK, n))
         Xc = X[rows]
-        tables = basis._value_tables(Xc)
+        tables = _reference_tables(basis, Xc)
         gathered = [tables[k][:, alpha[:, k]] for k in range(d)]
         cols = np.ones((Xc.shape[0], union.size))
         for k in range(d):
@@ -200,16 +229,14 @@ def _reference_predict_many(basis, coefficients, X, with_grad=False):
         values[rows] = cols @ CU
         if not with_grad:
             continue
-        dtables = basis._deriv_tables(Xc)
-        prefix = [np.ones((Xc.shape[0], union.size))]
-        for k in range(d - 1):
-            prefix.append(prefix[-1] * gathered[k])
-        suffix = np.ones((Xc.shape[0], union.size))
-        for k in range(d - 1, -1, -1):
-            dcols = dtables[k][:, alpha[:, k]] * prefix[k] * suffix
+        dtables = _reference_tables(basis, Xc, deriv=True)
+        for k in range(d):
+            dcols = np.ascontiguousarray(dtables[k][:, alpha[:, k]])  # C, as the GEMM's
+            for l in range(d):
+                if l != k:
+                    dcols *= gathered[l]
             dcols[:, alpha[:, k] == 0] = 0.0
             grads[rows, k, :] = dcols @ CU
-            suffix *= gathered[k]
     return values, grads
 
 
@@ -252,14 +279,45 @@ def test_predict_many_bits_match_reference(cos4d, monkeypatch, case, with_grad):
         assert not values.any()
 
 
-@pytest.mark.parametrize("n_coeffs,n_inputs", [(1, 0), (-1, 0), (0, 1), (0, -1)],
-                         ids=["wide-coefficients", "narrow-coefficients",
-                              "extra-input-column", "missing-input-column"])
-def test_predict_many_rejects_malformed_input(cos2d, n_coeffs, n_inputs):
+def test_design_matrices_bits_match_reference(cos4d, monkeypatch):
+    """Bitwise equal to the whole-matrix product loops, over ragged row
+    sub-blocks (40 rows in blocks of 3)."""
+    monkeypatch.setattr(chaos, "_CELLS", 3 * cos4d.size)
+    X = np.random.default_rng(24).random((40, 4))
+    assert basis_matrix(cos4d, X).tobytes() == _reference_basis_matrix(cos4d, X).tobytes()
+    for k in range(cos4d.dimension):
+        D = deriv_matrix(cos4d, X, k)
+        assert D.tobytes() == _reference_deriv_matrix(cos4d, X, k).tobytes()
+
+
+_MALFORMED = {  # id: (call, coefficient count offset, input column offset, k)
+    "wide-coefficients": ("predict_many", 1, 0, None),
+    "narrow-coefficients": ("predict_many", -1, 0, None),
+    "extra-input-column": ("predict_many", 0, 1, None),
+    "missing-input-column": ("predict_many", 0, -1, None),
+    "basis_matrix-extra-input-column": ("basis_matrix", 0, 1, None),
+    "basis_matrix-missing-input-column": ("basis_matrix", 0, -1, None),
+    "deriv_matrix-extra-input-column": ("deriv_matrix", 0, 1, 0),
+    "deriv_matrix-missing-input-column": ("deriv_matrix", 0, -1, 0),
+    "deriv_matrix-k=-1": ("deriv_matrix", 0, 0, -1),
+    "deriv_matrix-k=d": ("deriv_matrix", 0, 0, 2),
+}
+
+
+@pytest.mark.parametrize("call,n_coeffs,n_inputs,k", list(_MALFORMED.values()),
+                         ids=list(_MALFORMED))
+def test_predict_many_rejects_malformed_input(cos2d, call, n_coeffs, n_inputs, k):
+    """Every entry point rejects an input width other than d, and deriv_matrix
+    a direction outside 0..d-1, with ValueError."""
     C = np.ones((2, cos2d.size + n_coeffs))
     X = np.full((5, cos2d.dimension + n_inputs), 0.5)
     with pytest.raises(ValueError):
-        predict_many(cos2d, C, X, with_grad=True)
+        if call == "predict_many":
+            predict_many(cos2d, C, X, with_grad=True)
+        elif call == "basis_matrix":
+            basis_matrix(cos2d, X)
+        else:
+            deriv_matrix(cos2d, X, k)
 
 
 def test_predict_many_peak_memory_is_one_chunk_buffer(cosine_basis_small):
